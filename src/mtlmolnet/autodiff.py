@@ -10,7 +10,10 @@ reverse topological order and accumulates gradients into every
 Every forward result is checked for NaN/Inf so numerical blowups fail at
 the op that produced them rather than corrupting a training run.
 Reductions accumulate sequentially in index order, so single-threaded
-results are bit-reproducible.
+results are bit-reproducible. ``scatter_add`` and the backward pass of
+``index_select`` aggregate rows with ``_kernels.scatter_add_rows``, a
+pure-numpy kernel that adds duplicate indices in row order and so matches
+``np.add.at`` bit for bit.
 """
 
 import numpy as np

@@ -5,13 +5,15 @@ Layout: an ASCII header line ``MTLMOLNET-CKPT-1``, one JSON manifest line
 a single blob of little-endian float64 data. Feature-standardization
 statistics ride along as ordinary tensors under reserved ``stats.*``
 names so prediction can reproduce training-time preprocessing. The
-manifest also records the built-in descriptor names those statistics were
-fitted on; a checkpoint whose names differ from this build's (or that
-records none) is refused, since its statistics would standardize the wrong
-columns without any error.
+manifest also records the built-in descriptor names and the phys source
+(built-in or an external ``--phys`` file) those statistics were fitted on;
+a checkpoint whose names differ from this build's, or that records either
+one not at all, is refused, since its statistics would standardize the
+wrong columns without any error. A malformed manifest is refused as well.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -50,6 +52,7 @@ def save_checkpoint(path, params, cfg, stats, task_specs):
             for s in task_specs
         ],
         "descriptors": list(feat.BUILTIN_DESCRIPTOR_NAMES),
+        "phys_source": stats.phys_source,
         "tensors": directory,
     }
     with open(path, "wb") as fh:
@@ -57,6 +60,31 @@ def save_checkpoint(path, params, cfg, stats, task_specs):
         fh.write(json.dumps(manifest).encode() + b"\n")
         for blob in blobs:
             fh.write(blob)
+
+
+def _read_manifest(path, line):
+    """The manifest line as a dict with a config, a task list and a well-formed
+    tensor directory; anything else is a CheckpointMismatch."""
+    try:
+        manifest = json.loads(line)
+    except ValueError as err:
+        raise CheckpointMismatch(f"{path}: manifest is not valid JSON ({err})") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointMismatch(f"{path}: manifest is not a JSON object")
+    for key, kind in (("config", dict), ("tasks", list), ("tensors", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise CheckpointMismatch(f"{path}: manifest lacks a {kind.__name__} {key!r}")
+    for entry in manifest["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(d) for d in entry["shape"])
+                and _is_count(entry.get("offset"))):
+            raise CheckpointMismatch(f"{path}: malformed tensor entry {entry!r}")
+    return manifest
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(path):
@@ -67,32 +95,41 @@ def load_checkpoint(path):
         header = fh.readline().rstrip(b"\n")
         if header.decode(errors="replace") != MAGIC:
             raise CheckpointMismatch(f"{path}: bad header {header!r}, expected {MAGIC}")
-        manifest = json.loads(fh.readline())
+        manifest = _read_manifest(path, fh.readline())
         blob = fh.read()
 
     descriptors = manifest.get("descriptors")
     if descriptors != list(feat.BUILTIN_DESCRIPTOR_NAMES):
-        recorded = "none" if descriptors is None else ",".join(map(str, descriptors))
+        recorded = (",".join(map(str, descriptors)) if isinstance(descriptors, list)
+                    else repr(descriptors))
         raise CheckpointMismatch(
             f"{path}: recorded built-in descriptors ({recorded}) differ from this "
             "build's (slot 13 'bonds' was retired for 'nitrogens'); retrain the checkpoint"
+        )
+    phys_source = manifest.get("phys_source")
+    if phys_source not in feat.PHYS_SOURCES:
+        raise CheckpointMismatch(
+            f"{path}: recorded phys source {phys_source!r} is not one of "
+            f"{', '.join(feat.PHYS_SOURCES)}; retrain the checkpoint"
         )
 
     arrays = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         try:
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+            arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape),
+                                offset=entry["offset"])
         except ValueError:
             raise CheckpointMismatch(
                 f"{path}: truncated tensor {entry['name']}"
             ) from None
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
 
-    cfg = TrainConfig.from_dict(manifest["config"])
-    task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
+    try:
+        cfg = TrainConfig.from_dict(manifest["config"])
+        task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
+    except (TypeError, ValueError) as err:
+        raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
     n_tasks = len(task_specs)
 
     def take(name, shape, requires_grad=True):
@@ -136,6 +173,7 @@ def load_checkpoint(path):
         phys_std=arrays["stats.phys_std"],
         qc_mean=arrays["stats.qc_mean"],
         qc_std=arrays["stats.qc_std"],
+        phys_source=phys_source,
     )
 
     params = ModelParams(encoder=encoder, heads=heads, weighting=weighting)

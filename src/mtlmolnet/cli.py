@@ -356,7 +356,18 @@ def _read_molecule_file(path):
     return [line.strip() for line in lines[start:] if line.strip()]
 
 
+def _check_phys_source(stats, phys_path):
+    """Refuse to standardize phys blocks with statistics of the other source."""
+    source = feat.phys_source(phys_path)
+    if stats.phys_source != source:
+        raise CheckpointMismatch(
+            f"checkpoint statistics were fitted on {stats.phys_source} phys descriptors "
+            f"but this run uses {source} ones; pass --phys exactly when training did"
+        )
+
+
 def _prepare_molecules(smiles_list, stats, cfg, phys_path=None, qc_path=None):
+    _check_phys_source(stats, phys_path)
     graphs = [smiles.featurize(smiles.parse_smiles(s)) for s in smiles_list]
     if phys_path:
         phys = feat.load_external_phys(phys_path, smiles_list)
@@ -396,6 +407,7 @@ def cmd_eval(args):
         specs = dat.load_task_specs(args.tasks)
     if cfg.use_qc and not args.qc:
         raise ConfigError(f"variant {cfg.variant} needs quantum descriptors: pass --qc")
+    _check_phys_source(stats, args.phys)
     table = dat.load_dataset(args.data, specs)
     dat.prepare_table(table, phys_path=args.phys, qc_path=args.qc)
     table.blocks = feat.standardize(table.blocks, stats)
@@ -423,13 +435,16 @@ def cmd_eval(args):
     return 0
 
 
-def _timed(fn, reps):
-    times = []
+def _timed(fns, reps):
+    """(min, median) seconds of each function. The functions take turns
+    within each rep, so a slow spell of the machine hits all of them."""
+    times = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), float(np.median(times))
+        for fn, record in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            record.append(time.perf_counter() - t0)
+    return [(min(t), float(np.median(t))) for t in times]
 
 
 def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
@@ -466,9 +481,9 @@ def cmd_bench(args):
                 hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
                 ad.sigmoid(ad.add(ad.matmul(hidden, head.w2), head.b2))
 
-    multi_task_pass()  # warm the jit kernels before timing
-    multi_min, multi_med = _timed(multi_task_pass, reps)
-    single_min, single_med = _timed(single_task_passes, reps)
+    multi_task_pass()  # warm caches before timing
+    (multi_min, multi_med), (single_min, single_med) = _timed(
+        [multi_task_pass, single_task_passes], reps)
 
     avg_atoms = float(np.mean([g.n_atoms for g in graphs]))
     avg_edges = float(np.mean([2 * g.n_bonds for g in graphs]))

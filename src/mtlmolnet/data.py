@@ -67,6 +67,7 @@ class TaskTable:
     specs: list
     graphs: list = field(default=None)
     blocks: list = field(default=None)
+    phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
     @property
     def n_rows(self):
@@ -188,6 +189,7 @@ def prepare_table(table, phys_path=None, qc_path=None):
         qc = np.zeros((table.n_rows, feat.QC_DIM))
         qc_mask = np.zeros((table.n_rows, feat.QC_DIM))
     table.graphs = graphs
+    table.phys_source = feat.phys_source(phys_path)
     table.blocks = [
         feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
         for i in range(table.n_rows)

@@ -78,12 +78,22 @@ class FeatureBlock:
     qc_mask: np.ndarray  # [4] of {0, 1}
 
 
+# where a phys block comes from: compute_phys_descriptors or a --phys file
+PHYS_SOURCES = ("builtin", "external")
+
+
+def phys_source(phys_path):
+    """The PHYS_SOURCES entry for an external descriptor path, or None."""
+    return PHYS_SOURCES[phys_path is not None]
+
+
 @dataclass
 class FeatureStats:
     phys_mean: np.ndarray
     phys_std: np.ndarray
     qc_mean: np.ndarray
     qc_std: np.ndarray
+    phys_source: str = "builtin"  # the PHYS_SOURCES entry the phys stats were fitted on
 
 
 def compute_phys_descriptors(g):

@@ -50,7 +50,7 @@ class HeadParams:
 
 
 class WeightingState:
-    """Learnable per-task loss-weight exponents and their latest values."""
+    """Learnable per-task loss-weight exponents."""
 
     def __init__(self, n_tasks, beta_min=0.1, beta_max=6.0, uniform=False,
                  renormalize=False):
@@ -59,8 +59,6 @@ class WeightingState:
         self.beta_max = beta_max
         self.uniform = uniform
         self.renormalize = renormalize
-        self.last_r = np.zeros(n_tasks)
-        self.last_w = np.zeros(n_tasks)
 
     @property
     def beta_eff(self):
@@ -84,8 +82,6 @@ class WeightingState:
         if self.renormalize:
             total = ad.tensor_sum(w)
             w = ad.mul(w, ad.pow_elem(total, Tensor(-1.0)))
-        self.last_r = np.asarray(r, dtype=np.float64).copy()
-        self.last_w = w.data.copy()
         return w
 
 
@@ -246,6 +242,7 @@ def train(table, cfg, progress=None):
     if len(train_view) == 0:
         raise data_mod.EmptyDataset("train split is empty")
     stats = feat.fit_stats(table.blocks, indices=train_view.rows.tolist())
+    stats.phys_source = table.phys_source
     table.blocks = feat.standardize(table.blocks, stats)
 
     val_view = data_mod.select_split(table, "val")

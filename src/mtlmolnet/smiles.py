@@ -11,7 +11,11 @@ Implicit hydrogens on unbracketed atoms are filled from default valences
 exactly the hydrogens they declare. For unbracketed aromatic atoms the
 hydrogen fill counts ring bonds as single plus one extra bond for c/n/p,
 matching their share of the delocalized system; o, s and b contribute a
-lone pair (or empty orbital) instead, so they get no extra bond. The
+lone pair (or empty orbital) instead, so they get no extra bond. Where the
+extra bond would exceed the valence, an n with three bonds (as in
+N-methylimidazole) gives its lone pair instead and a c carrying an
+exocyclic double bond (as in caffeine's c(=O)) contributes that bond; an
+n(=O) stays a valence violation. The
 post-parse valence audit allows the same one-bond slack on atoms with
 aromatic bonds so that five-membered heteroaromatics and fused-ring
 junction atoms pass.
@@ -408,6 +412,7 @@ def _assign_hydrogens_and_audit(atoms, bonds, bracketed, atom_offsets):
     order_sum = [0.0] * len(atoms)
     unit_sum = [0] * len(atoms)  # aromatic counted as one
     has_aromatic = [False] * len(atoms)
+    has_double = [False] * len(atoms)
     for b in bonds:
         val = _order_value(b.order)
         for end in (b.a, b.b):
@@ -415,6 +420,8 @@ def _assign_hydrogens_and_audit(atoms, bonds, bracketed, atom_offsets):
             unit_sum[end] += 1 if b.order == "aromatic" else int(val)
             if b.order == "aromatic":
                 has_aromatic[end] = True
+            elif b.order == "double":
+                has_double[end] = True
 
     for idx, atom in enumerate(atoms):
         allowed = _allowed_valences(atom)
@@ -424,6 +431,10 @@ def _assign_hydrogens_and_audit(atoms, bonds, bracketed, atom_offsets):
                 raise UnknownAtomToken(f"element {atom.element} not supported", off)
             if atom.aromatic:
                 need = unit_sum[idx] + (1 if atom.element in _AROMATIC_PI_BOND else 0)
+                # no room for a ring pi bond: a pyrrole-type n gives its
+                # lone pair to the ring, a c(=O) its exocyclic double bond
+                if need > max(allowed) and (atom.element == "N" or has_double[idx]):
+                    need = unit_sum[idx]
             else:
                 need = unit_sum[idx]
             fills = [v for v in allowed if v >= need]

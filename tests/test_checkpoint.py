@@ -104,3 +104,86 @@ class TestCheckpoint:
                        "--out", str(tmp_path / "pred.csv")])
         assert rc == 3
         assert "bonds" in capsys.readouterr().err
+
+
+def write_manifest(path, edit):
+    """Rewrite a saved checkpoint's manifest line with ``edit(manifest)``,
+    which returns the replacement object, or bytes to write verbatim."""
+    magic, manifest, blob = path.read_bytes().split(b"\n", 2)
+    new = edit(json.loads(manifest))
+    line = new if isinstance(new, bytes) else json.dumps(new).encode()
+    path.write_bytes(magic + b"\n" + line + b"\n" + blob)
+
+
+def without(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def with_tensor_entry(entry):
+    return lambda m: {**m, "tensors": [entry] + m["tensors"][1:]}
+
+
+def assert_refused(path, tmp_path, capsys, match=None):
+    with pytest.raises(CheckpointMismatch, match=match):
+        load_checkpoint(path)
+    mols = tmp_path / "mols.txt"
+    mols.write_text("CCO\n")
+    rc = cli.main(["predict", "--checkpoint", str(path), "--data", str(mols),
+                   "--out", str(tmp_path / "pred.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestManifestHardening:
+    @pytest.mark.parametrize("edit", [
+        lambda m: b"{not json",
+        lambda m: b"\xff\xfe",
+        lambda m: [1, 2],
+        lambda m: "a string",
+        without("config"),
+        without("tasks"),
+        without("tensors"),
+        lambda m: {**m, "tensors": {"encoder.w_in": 0}},
+        lambda m: {**m, "config": {"variant": "no-such-variant"}},
+        lambda m: {**m, "tasks": [{"name": "A"}]},
+        lambda m: {**m, "tasks": [1]},
+        lambda m: {**m, "descriptors": 5},
+        with_tensor_entry("encoder.w_in"),
+        with_tensor_entry({"shape": [4, 4], "offset": 0}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": "4x4", "offset": 0}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": [4, -1], "offset": 0}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": [4, 4], "offset": -8}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": [4, 4], "offset": "0"}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": [4, 4]}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": [10 ** 12], "offset": 0}),
+    ])
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
+        write_manifest(path, edit)
+        assert_refused(path, tmp_path, capsys)
+
+
+class TestPhysSource:
+    @pytest.mark.parametrize("source", ["builtin", "external"])
+    def test_round_trip(self, tmp_path, source):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        stats = make_stats(np.random.default_rng(5))
+        stats.phys_source = source
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, stats, SPECS[:1])
+        assert load_checkpoint(path)[2].phys_source == source
+
+    @pytest.mark.parametrize("edit", [without("phys_source"),
+                                      lambda m: {**m, "phys_source": "rdkit"}])
+    def test_missing_or_unknown_record_rejected(self, tmp_path, capsys, edit):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(6)), SPECS[:1])
+        write_manifest(path, edit)
+        assert_refused(path, tmp_path, capsys, match="phys source")

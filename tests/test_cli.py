@@ -134,6 +134,72 @@ class TestPredictEval:
         assert rc == cli.EXIT_DATA
 
 
+def write_phys_csv(path, smiles_list, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = ["smiles," + ",".join(f"d{i}" for i in range(200))]
+    for smi in dict.fromkeys(smiles_list):
+        lines.append(smi + "," + ",".join(repr(float(v)) for v in rng.normal(size=200)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestPhysSource:
+    """Statistics fitted on one phys source must not standardize the other."""
+
+    @pytest.fixture()
+    def external(self, tmp_path):
+        flags = small_flags(tmp_path)
+        data = Path(flags[flags.index("--data") + 1])
+        table_smiles = [line.split(",")[0] for line in data.read_text().splitlines()[1:]]
+        phys = tmp_path / "phys.csv"
+        write_phys_csv(phys, table_smiles + ["CCO", "CCN"])
+        assert cli.main(["train", *flags, "--phys", str(phys)]) == 0
+        ckpt = tmp_path / "runs" / "model_seed0.ckpt"
+        mols = tmp_path / "mols.txt"
+        mols.write_text("CCO\nCCN\n")
+        return flags, ckpt, phys, mols
+
+    def test_recorded_in_checkpoint(self, external):
+        _, ckpt, _, _ = external
+        assert load_checkpoint(ckpt)[2].phys_source == "external"
+
+    def test_predict_needs_the_same_source(self, external, tmp_path, capsys):
+        _, ckpt, phys, mols = external
+        base = ["predict", "--checkpoint", str(ckpt), "--data", str(mols),
+                "--out", str(tmp_path / "pred.csv")]
+        capsys.readouterr()
+        assert cli.main(base) == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "phys" in err[0]
+        assert cli.main([*base, "--phys", str(phys)]) == 0
+
+    def test_eval_and_analyze_refuse_builtin(self, external, tmp_path, capsys):
+        flags, ckpt, _, _ = external
+        data = flags[flags.index("--data") + 1]
+        tasks = flags[flags.index("--tasks") + 1]
+        qc = flags[flags.index("--qc") + 1]
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", data,
+                         "--qc", qc]) == cli.EXIT_DATA
+        rc = cli.main(["analyze", "--history", str(ckpt.parent / "history_seed0.csv"),
+                       "--data", data, "--tasks", tasks, "--qc", qc,
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "analysis")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("fitted on external phys" in e for e in err)
+
+    def test_builtin_checkpoint_refuses_external(self, tmp_path, capsys):
+        flags = small_flags(tmp_path, epochs="1")
+        assert cli.main(["train", *flags]) == 0
+        ckpt = tmp_path / "runs" / "model_seed0.ckpt"
+        mols = tmp_path / "mols.txt"
+        mols.write_text("CCO\n")
+        phys = tmp_path / "phys.csv"
+        write_phys_csv(phys, ["CCO"])
+        assert load_checkpoint(ckpt)[2].phys_source == "builtin"
+        rc = cli.main(["predict", "--checkpoint", str(ckpt), "--data", str(mols),
+                       "--phys", str(phys)])
+        assert rc == cli.EXIT_DATA
+
+
 class TestAblate:
     def test_four_variant_table(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")

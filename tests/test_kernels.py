@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from mtlmolnet import _kernels
+from mtlmolnet import _kernels, encoder
+from mtlmolnet import autodiff as ad
+from mtlmolnet.smiles import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, featurize, parse_smiles
 
 
 def random_case(seed, m=257, h=19, n=40):
@@ -15,23 +12,71 @@ def random_case(seed, m=257, h=19, n=40):
     return src, idx, n
 
 
+def add_at_reference(src, idx, n):
+    out = np.zeros((n,) + src.shape[1:])
+    np.add.at(out, idx, src)
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestScatterAdd:
     def test_numpy_matches_dense_reference(self):
         src, idx, n = random_case(0)
-        out = _kernels.scatter_add_rows_numpy(src, idx, np.zeros((n, src.shape[1])))
+        out = _kernels.scatter_add_rows(src, idx, np.zeros((n, src.shape[1])))
         ref = np.zeros_like(out)
         for i, r in enumerate(idx):
             ref[r] += src[i]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
-    @pytest.mark.skipif(_kernels.scatter_add_rows_numba is None,
-                        reason="numba backend unavailable")
-    def test_backends_agree_bitwise(self):
+    def test_random_indices_match_add_at_bitwise(self):
         for seed in range(5):
             src, idx, n = random_case(seed)
-            a = _kernels.scatter_add_rows_numpy(src, idx, np.zeros((n, src.shape[1])))
-            b = _kernels.scatter_add_rows_numba(src, idx, np.zeros((n, src.shape[1])))
-            np.testing.assert_array_equal(a, b)
+            out = _kernels.scatter_add_rows(src, idx, np.zeros((n, src.shape[1])))
+            assert_bitwise_equal(out, add_at_reference(src, idx, n))
+
+    def test_skewed_index_matches_add_at_bitwise(self):
+        # one row receives thousands of sources, the others a handful
+        rng = np.random.default_rng(11)
+        idx = np.where(rng.random(5000) < 0.9, 3, rng.integers(0, 64, size=5000))
+        src = rng.normal(size=(5000, 7)) * 10.0 ** rng.integers(-8, 9, size=(5000, 1))
+        out = _kernels.scatter_add_rows(src, idx, np.zeros((64, 7)))
+        assert_bitwise_equal(out, add_at_reference(src, idx, 64))
+
+    def test_accumulates_into_nonzero_out(self):
+        src, idx, n = random_case(3)
+        base = np.random.default_rng(4).normal(size=(n, src.shape[1]))
+        ref = base.copy()
+        np.add.at(ref, idx, src)
+        out = _kernels.scatter_add_rows(src, idx, base)
+        assert out is base
+        assert_bitwise_equal(out, ref)
+
+    def test_encode_batch_index_arrays_match_add_at_bitwise(self, monkeypatch):
+        # every scatter of one forward and backward pass: dst and molecule
+        # pooling forward, src and rev from the index_select backwards
+        graphs = [featurize(parse_smiles(s)) for s in
+                  ("CC(=O)Oc1ccccc1C(=O)O", "c1ccc2ccccc2c1", "CCO", "C",
+                   "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "ClC(Cl)(Cl)Cl")]
+        params = encoder.init_encoder_params(ATOM_FEATURE_DIM, BOND_FEATURE_DIM, 32, 3,
+                                             np.random.default_rng(5))
+        kernel = _kernels.scatter_add_rows
+        calls = []
+
+        def record(src, index, out):
+            calls.append((src.copy(), np.array(index), out.copy()))
+            return kernel(src, index, out)
+
+        monkeypatch.setattr(_kernels, "scatter_add_rows", record)
+        ad.tensor_sum(encoder.encode_batch(graphs, params)).backward()
+        assert len(calls) == 8
+        for src, index, out in calls:
+            ref = out.copy()
+            np.add.at(ref, index, src)
+            assert_bitwise_equal(kernel(src, index, out), ref)
 
     def test_duplicate_index_accumulation_order(self):
         # three tiny values into one row: both paths add in row order
@@ -45,38 +90,11 @@ class TestScatterAdd:
                                         np.zeros((3, 4)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
-
-class TestBackendSelection:
-    def test_active_backend_reported(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_numpy_fallback_forced_by_env(self):
-        code = (
-            "from mtlmolnet import _kernels; import numpy as np;"
-            "assert _kernels.backend_name() == 'numpy';"
-            "out = _kernels.scatter_add_rows(np.ones((4, 2)),"
-            " np.array([0, 1, 0, 1]), np.zeros((2, 2)));"
-            "assert out.tolist() == [[2.0, 2.0], [2.0, 2.0]]"
-        )
-        env = dict(os.environ, MTLMOLNET_BACKEND="numpy")
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-    def test_outputs_identical_across_backends_via_env(self):
-        code = (
-            "import numpy as np; from mtlmolnet import _kernels;"
-            "rng = np.random.default_rng(7);"
-            "src = rng.normal(size=(100, 8)); idx = rng.integers(0, 9, size=100);"
-            "out = _kernels.scatter_add_rows(src, idx, np.zeros((9, 8)));"
-            "print(repr(float(out.sum())), _kernels.backend_name())"
-        )
-        results = {}
-        for backend in ("numpy", ""):
-            env = dict(os.environ)
-            env.pop("MTLMOLNET_BACKEND", None)
-            if backend:
-                env["MTLMOLNET_BACKEND"] = backend
-            proc = subprocess.run([sys.executable, "-c", code], check=True,
-                                  env=env, capture_output=True, text=True)
-            value, name = proc.stdout.split()
-            results[name] = value
-        assert len(set(results.values())) == 1
+    def test_empty_index_leaves_out_bitwise(self):
+        base = np.random.default_rng(6).normal(size=(3, 4))
+        expected = base.copy()
+        out = _kernels.scatter_add_rows(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), base)
+        assert_bitwise_equal(out, expected)
+        none = _kernels.scatter_add_rows(np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
+                                         np.zeros((0, 4)))
+        assert none.shape == (0, 4)

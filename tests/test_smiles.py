@@ -48,6 +48,26 @@ class TestParse:
         n = next(a for a in pyrrole.atoms if a.element == "N")
         assert n.explicit_h == 1
 
+    @pytest.mark.parametrize("smi, n_substituted", [
+        ("Cn1ccnc1", 1),
+        ("c1ccn(C)c1", 1),
+        ("Cn1cnc2c1c(=O)n(C)c(=O)n2C", 3),  # caffeine
+    ])
+    def test_n_substituted_aromatic_nitrogen(self, smi, n_substituted):
+        g = parse_smiles(smi)
+        ring_n = [a for a in g.atoms if a.element == "N" and a.aromatic]
+        assert all(a.explicit_h == 0 for a in ring_n)
+        assert sum(a.degree == 3 for a in ring_n) == n_substituted
+        # ring carbons keep their hydrogen; caffeine's c(=O) carbons take none
+        for a in g.atoms:
+            if a.element == "C" and a.aromatic:
+                assert a.explicit_h == (1 if a.degree == 2 else 0), smi
+
+    @pytest.mark.parametrize("smi", ["c1ccn(=O)cc1", "O=n1cccc1"])
+    def test_aromatic_n_oxo_still_rejected(self, smi):
+        with pytest.raises(ValenceViolation):
+            parse_smiles(smi)
+
     def test_five_membered_heteroaromatics(self):
         for smi in ("c1ccoc1", "c1ccsc1"):
             g = parse_smiles(smi)
@@ -253,7 +273,8 @@ class TestGraphInvariants:
         from mtlmolnet.smiles import VALENCES, _order_value
 
         for smi in ["CCO", "c1ccccc1", "CC(=O)[O-]", "c1cc[nH]c1", "c1ccoc1",
-                    "CS(=O)(=O)O", "C[N+](C)(C)C", "c1ccc2ccccc2c1"]:
+                    "CS(=O)(=O)O", "C[N+](C)(C)C", "c1ccc2ccccc2c1", "Cn1ccnc1",
+                    "Cn1cnc2c1c(=O)n(C)c(=O)n2C"]:
             g = parse_smiles(smi)
             for idx, atom in enumerate(g.atoms):
                 orders = [b.order for b in g.bonds if idx in (b.a, b.b)]
