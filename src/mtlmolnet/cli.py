@@ -9,6 +9,7 @@ diagnostics go to stderr. Exit codes: 2 config error, 3 data error,
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -260,29 +261,26 @@ def _load_table(cfg, paths):
     return table, specs
 
 
-def _train_one(table, specs, cfg, seed, out_dir, raw_blocks):
-    # standardization replaces table.blocks; restart from raw per run
-    table.blocks = list(raw_blocks)
+def _train_one(table, specs, cfg, seed, out_dir):
     run_cfg = TrainConfig(**{**cfg.to_dict(), "seed": seed})
     result = mdl.train(table, run_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"model_seed{seed}.ckpt"
     save_checkpoint(ckpt, result.params, run_cfg, result.stats, specs)
     write_history(out_dir / f"history_seed{seed}.csv", result.history)
-    val_scores = mdl.evaluate_split(table, result.params, run_cfg, "val")
+    val_scores = mdl.evaluate_split(table, result.params, run_cfg, "val", result.stats)
     return result, val_scores
 
 
 def cmd_train(args):
     cfg, seeds, paths = merge_config(args)
     table, specs = _load_table(cfg, paths)
-    raw_blocks = list(table.blocks)
     out_dir = Path(paths.get("out") or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for seed in seeds:
-        result, val_scores = _train_one(table, specs, cfg, seed, out_dir, raw_blocks)
+        result, val_scores = _train_one(table, specs, cfg, seed, out_dir)
         runs.append(val_scores)
         print(f"seed {seed}: best epoch {result.best_epoch}", file=sys.stderr)
 
@@ -313,14 +311,12 @@ def cmd_ablate(args):
 
     table, specs = _load_table(TrainConfig(**{**cfg.to_dict(), "variant": "qw-mtl"}),
                                paths)
-    raw_blocks = list(table.blocks)
     per_variant = {}
     for variant in VARIANTS:
         vcfg = TrainConfig(**{**cfg.to_dict(), "variant": variant})
         runs = []
         for seed in seeds:
-            _, val_scores = _train_one(table, specs, vcfg, seed,
-                                       out_dir / variant, raw_blocks)
+            _, val_scores = _train_one(table, specs, vcfg, seed, out_dir / variant)
             runs.append(val_scores)
         per_variant[variant] = met.aggregate(
             runs, metrics={s.name: s.metric for s in specs})
@@ -410,12 +406,11 @@ def cmd_eval(args):
     _check_phys_source(stats, args.phys)
     table = dat.load_dataset(args.data, specs)
     dat.prepare_table(table, phys_path=args.phys, qc_path=args.qc)
-    table.blocks = feat.standardize(table.blocks, stats)
 
     view = dat.select_split(table, "test")
     if len(view) == 0 or not view.valid.any():
         raise NoTestData("dataset has no test-tagged labels")
-    scores = mdl.evaluate_split(table, params, cfg, "test")
+    scores = mdl.evaluate_split(table, params, cfg, "test", stats)
 
     dest = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -436,15 +431,16 @@ def cmd_eval(args):
 
 
 def _timed(fns, reps):
-    """(min, median) seconds of each function. The functions take turns
-    within each rep, so a slow spell of the machine hits all of them."""
-    times = [[] for _ in fns]
-    for _ in range(reps):
-        for fn, record in zip(fns, times):
+    """Seconds of each function in each rep, [reps x len(fns)]. The
+    functions take turns within each rep, so a slow spell of the machine
+    hits all of them."""
+    times = np.zeros((reps, len(fns)))
+    for rep in range(reps):
+        for j, fn in enumerate(fns):
             t0 = time.perf_counter()
             fn()
-            record.append(time.perf_counter() - t0)
-    return [(min(t), float(np.median(t))) for t in times]
+            times[rep, j] = time.perf_counter() - t0
+    return times
 
 
 def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
@@ -465,25 +461,23 @@ def cmd_bench(args):
                                         phys_path=args.phys, qc_path=args.qc)
     t_single = args.t_single
     reps = max(args.reps, 3)
+    # simulate t_single independent models: one encoder pass per head
+    single_models = [dataclasses.replace(params, heads=[params.heads[t % len(params.heads)]])
+                     for t in range(t_single)]
 
     def multi_task_pass():
         mdl.predict_blocks(graphs, blocks, params, cfg)
 
     def single_task_passes():
-        # simulate t_single independent models: re-run the encoder per head
-        for t in range(t_single):
-            head = params.heads[t % len(params.heads)]
-            for start in range(0, len(graphs), 200):
-                chunk = slice(start, start + 200)
-                z = enc.encode_batch(graphs[chunk], params.encoder)
-                feats = feat.feature_matrix(blocks[chunk], use_qc=cfg.use_qc)
-                x = ad.concat([z, ad.Tensor(feats)], axis=1)
-                hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
-                ad.sigmoid(ad.add(ad.matmul(hidden, head.w2), head.b2))
+        for single in single_models:
+            mdl.predict_blocks(graphs, blocks, single, cfg)
 
     multi_task_pass()  # warm caches before timing
-    (multi_min, multi_med), (single_min, single_med) = _timed(
-        [multi_task_pass, single_task_passes], reps)
+    times = _timed([multi_task_pass, single_task_passes], reps)
+    multi, single = times[:, 0], times[:, 1]
+    # each rep's ratio compares passes that ran back to back, on the
+    # machine in one speed state
+    speedup = float(np.median(single / multi))
 
     avg_atoms = float(np.mean([g.n_atoms for g in graphs]))
     avg_edges = float(np.mean([2 * g.n_bonds for g in graphs]))
@@ -492,12 +486,12 @@ def cmd_bench(args):
     print(f"n_molecules,{len(mols)}")
     print(f"t_single,{t_single}")
     print(f"reps,{reps}")
-    print(f"multi_min_s,{multi_min:.4f}")
-    print(f"multi_median_s,{multi_med:.4f}")
-    print(f"single_min_s,{single_min:.4f}")
-    print(f"single_median_s,{single_med:.4f}")
-    print(f"speedup,{single_med / multi_med:.3f}")
-    print(f"speedup_min,{single_min / multi_min:.3f}")
+    print(f"multi_min_s,{multi.min():.4f}")
+    print(f"multi_median_s,{np.median(multi):.4f}")
+    print(f"single_min_s,{single.min():.4f}")
+    print(f"single_median_s,{np.median(single):.4f}")
+    print(f"speedup,{speedup:.3f}")
+    print(f"speedup_min,{single.min() / multi.min():.3f}")
     print(f"flop_ratio,{flop_ratio:.3f}")
     print(f"parameter_count,{enc.count_parameters(cfg, len(specs))}")
     return 0
@@ -524,6 +518,13 @@ def cmd_analyze(args):
     history = read_history(args.history)
     specs = dat.load_task_specs(args.tasks)
     table = dat.load_dataset(args.data, specs)
+    if args.checkpoint:
+        # refuse a checkpoint before any output is written
+        params, cfg, stats, _ = load_checkpoint(args.checkpoint)
+        _check_phys_source(stats, args.phys)
+        view = dat.select_split(table, args.split)
+        if len(view) == 0:
+            raise dat.EmptyDataset(f"split {args.split!r} selects no rows")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -549,10 +550,6 @@ def cmd_analyze(args):
         print(f"warning: correlation omitted: {err}", file=sys.stderr)
 
     if args.checkpoint:
-        params, cfg, stats, _ = load_checkpoint(args.checkpoint)
-        view = dat.select_split(table, args.split)
-        if len(view) == 0:
-            raise dat.EmptyDataset(f"split {args.split!r} selects no rows")
         mols = [table.smiles[r] for r in view.rows]
         graphs, _ = _prepare_molecules(mols, stats, cfg,
                                        phys_path=args.phys, qc_path=args.qc)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import encoder as enc
 from . import features as feat
 from . import smiles
 
@@ -66,7 +67,8 @@ class TaskTable:
     fold: np.ndarray
     specs: list
     graphs: list = field(default=None)
-    blocks: list = field(default=None)
+    blocks: list = field(default=None)  # raw (unstandardized) FeatureBlocks
+    pack: enc.GraphPack = field(default=None)  # the graphs, packed once
     phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
     @property
@@ -84,11 +86,17 @@ class TaskTable:
 
 @dataclass
 class Batch:
+    """One batch of rows. The heads read ``features`` when it is set and
+    the standardized ``feature_blocks`` otherwise; the encoder reads
+    ``union`` when it is set and packs ``graphs`` otherwise."""
+
     graphs: list
     feature_blocks: list
     labels: np.ndarray  # [B x T] of {0, 1}
     valid: np.ndarray  # [B x T] of {0, 1}
     row_indices: np.ndarray
+    features: np.ndarray = None  # [B x D] standardized descriptor rows
+    union: enc.UnionGraph = None  # the graphs' disjoint union
 
     @property
     def size(self):
@@ -176,9 +184,10 @@ def prepare_table(table, phys_path=None, qc_path=None):
 
     Descriptors are the built-in set unless an external 200-dim file is
     given; quantum values come from ``qc_path`` or stay fully masked.
-    Blocks are raw (unstandardized) here.
+    Blocks are raw (unstandardized). The graphs are featurized into one
+    pack, ``table.pack``, and their arrays are views into it.
     """
-    graphs = [smiles.featurize(smiles.parse_smiles(s)) for s in table.smiles]
+    graphs = [smiles.parse_smiles(s) for s in table.smiles]
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, table.smiles)
     else:
@@ -189,6 +198,7 @@ def prepare_table(table, phys_path=None, qc_path=None):
         qc = np.zeros((table.n_rows, feat.QC_DIM))
         qc_mask = np.zeros((table.n_rows, feat.QC_DIM))
     table.graphs = graphs
+    table.pack = enc.pack_graphs(graphs, featurize=True)
     table.phys_source = feat.phys_source(phys_path)
     table.blocks = [
         feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
@@ -221,11 +231,16 @@ def select_split(table, split):
     return SplitView(table=table, split=split, rows=rows, valid=valid)
 
 
-def make_batches(view, batch_size, rng):
+def make_batches(view, batch_size, rng, features=None):
     """Shuffled batches over a split view; the trailing partial batch kept.
 
     ``rng`` is a numpy Generator or an int seed; passing the same seed (or
     a generator in the same state) reproduces the exact batch sequence.
+    The order is drawn here and the batches are made as they are iterated,
+    so only one batch's gathered arrays are alive at a time. Each batch's
+    disjoint union is gathered from the table's pack. ``features`` is the
+    table's standardized descriptor matrix [N x D]; batches take their
+    rows of it in place of the table's blocks.
     """
     if len(view) == 0:
         raise EmptyDataset(f"split {view.split!r} selects no rows")
@@ -234,24 +249,25 @@ def make_batches(view, batch_size, rng):
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     order = rng.permutation(len(view))
-    table = view.table
-    if table.graphs is None or table.blocks is None:
+    if view.table.pack is None or view.table.blocks is None:
         raise DatasetError("table not prepared; call prepare_table first")
+    return (_gather_batch(view, order[start:start + batch_size], features)
+            for start in range(0, len(order), batch_size))
 
-    batches = []
-    for start in range(0, len(order), batch_size):
-        sel = order[start : start + batch_size]
-        rows = view.rows[sel]
-        valid = view.valid[sel]
-        labels = np.where(valid > 0, table.labels[rows], 0).astype(np.float64)
-        batches.append(Batch(
-            graphs=[table.graphs[r] for r in rows],
-            feature_blocks=[table.blocks[r] for r in rows],
-            labels=labels,
-            valid=valid,
-            row_indices=rows,
-        ))
-    return batches
+
+def _gather_batch(view, sel, features):
+    table = view.table
+    rows = view.rows[sel]
+    valid = view.valid[sel]
+    return Batch(
+        graphs=[table.graphs[r] for r in rows],
+        feature_blocks=None if features is not None else [table.blocks[r] for r in rows],
+        labels=np.where(valid > 0, table.labels[rows], 0).astype(np.float64),
+        valid=valid,
+        row_indices=rows,
+        features=None if features is None else features[rows],
+        union=table.pack.gather(rows),
+    )
 
 
 def load_task_specs(path):

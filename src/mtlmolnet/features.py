@@ -303,12 +303,18 @@ def fit_stats(blocks, indices=None):
     return FeatureStats(phys_mean, phys_std, qc_mean, qc_std)
 
 
+def _zscore(phys, qc, qc_mask, stats):
+    """Z-score ``phys`` in place; returns it and the z-scored ``qc``."""
+    phys -= stats.phys_mean
+    phys /= stats.phys_std
+    return phys, np.where(qc_mask == 1.0, (qc - stats.qc_mean) / stats.qc_std, 0.0)
+
+
 def standardize(blocks, stats):
     """Z-score feature blocks with precomputed stats; masked qc stays 0."""
     out = []
     for b in blocks:
-        phys = (b.phys - stats.phys_mean) / stats.phys_std
-        qc = np.where(b.qc_mask == 1.0, (b.qc - stats.qc_mean) / stats.qc_std, 0.0)
+        phys, qc = _zscore(b.phys.copy(), b.qc, b.qc_mask, stats)
         out.append(FeatureBlock(phys=phys, qc=qc, qc_mask=b.qc_mask.copy()))
     return out
 
@@ -326,10 +332,14 @@ def fuse(z, block, use_qc=True):
     return np.concatenate(parts)
 
 
-def feature_matrix(blocks, use_qc=True):
-    """Stack the descriptor parts of ``fuse`` for a whole batch."""
+def feature_matrix(blocks, use_qc=True, stats=None):
+    """Stack the descriptor parts of ``fuse`` for a whole batch, z-scored
+    with ``stats`` when given (the same values as ``standardize``)."""
+    phys = np.stack([b.phys for b in blocks])
+    qc = np.stack([b.qc for b in blocks])
+    qc_mask = np.stack([b.qc_mask for b in blocks])
+    if stats is not None:
+        phys, qc = _zscore(phys, qc, qc_mask, stats)
     if use_qc:
-        return np.stack([
-            np.concatenate([b.phys, b.qc, b.qc_mask]) for b in blocks
-        ])
-    return np.stack([b.phys for b in blocks])
+        return np.concatenate([phys, qc, qc_mask], axis=1)
+    return phys

@@ -188,23 +188,31 @@ def total_loss(per_task_loss, weights):
     return ad.tensor_sum(ad.mul(per_task_loss, weights))
 
 
+def head_logits(x, heads):
+    """Logits [B x T] of the task heads on the fused input ``x``, one
+    column per head."""
+    cols = []
+    for head in heads:
+        hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
+        cols.append(ad.add(ad.matmul(hidden, head.w2), head.b2))
+    return ad.concat(cols, axis=1)
+
+
 def forward(batch, params, cfg, rng=None):
     """Logits [B x T]; every head evaluates every molecule (validity only
     affects the loss)."""
     z = enc.encode_batch(batch.graphs, params.encoder,
-                         dropout=cfg.dropout, rng=rng)
-    feats = feat.feature_matrix(batch.feature_blocks, use_qc=cfg.use_qc)
+                         dropout=cfg.dropout, rng=rng, union=batch.union)
+    feats = batch.features
+    if feats is None:
+        feats = feat.feature_matrix(batch.feature_blocks, use_qc=cfg.use_qc)
     x = ad.concat([z, Tensor(feats)], axis=1)
     if x.data.shape[1] != params.heads[0].w1.data.shape[0]:
         raise ad.ShapeMismatch(
             f"fused dim {x.data.shape[1]} does not match head input "
             f"{params.heads[0].w1.data.shape[0]}"
         )
-    cols = []
-    for head in params.heads:
-        hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
-        cols.append(ad.add(ad.matmul(hidden, head.w2), head.b2))
-    return ad.concat(cols, axis=1)
+    return head_logits(x, params.heads)
 
 
 def batch_loss(batch, params, cfg, rng=None):
@@ -232,10 +240,12 @@ def train(table, cfg, progress=None):
     """Train on the table's train split, selecting by mean validation metric.
 
     The table must be loaded; features are prepared (built-in descriptors)
-    if missing. Returns the best parameters, per-epoch history rows and the
-    training-split feature statistics needed to standardize new inputs.
+    if missing. The table's blocks stay raw: the descriptors are
+    standardized once into a matrix that batches index. Returns the best
+    parameters, per-epoch history rows and the training-split feature
+    statistics needed to standardize new inputs.
     """
-    if table.graphs is None or table.blocks is None:
+    if table.pack is None or table.blocks is None:
         data_mod.prepare_table(table)
 
     train_view = data_mod.select_split(table, "train")
@@ -243,7 +253,7 @@ def train(table, cfg, progress=None):
         raise data_mod.EmptyDataset("train split is empty")
     stats = feat.fit_stats(table.blocks, indices=train_view.rows.tolist())
     stats.phys_source = table.phys_source
-    table.blocks = feat.standardize(table.blocks, stats)
+    features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
 
     val_view = data_mod.select_split(table, "val")
 
@@ -264,7 +274,8 @@ def train(table, cfg, progress=None):
         w_sums = np.zeros(n_tasks)
         n_batches = 0
         try:
-            for batch in data_mod.make_batches(train_view, cfg.batch_size, rng):
+            for batch in data_mod.make_batches(train_view, cfg.batch_size, rng,
+                                               features=features):
                 optimizer.zero_grad()
                 loss, parts = batch_loss(batch, params, cfg, rng=rng)
                 loss.backward()
@@ -278,7 +289,8 @@ def train(table, cfg, progress=None):
         except ad.NonFiniteValue as err:
             raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
 
-        val_scores = evaluate_split(table, params, cfg, "val") if len(val_view) else {}
+        val_scores = (evaluate_split(table, params, cfg, "val", stats)
+                      if len(val_view) else {})
         usable = [v for v in val_scores.values() if v is not None]
         mean_metric = float(np.mean(usable)) if usable else 0.0
         if mean_metric > best_metric:
@@ -307,37 +319,42 @@ def train(table, cfg, progress=None):
 
 
 def predict_blocks(graphs, blocks, params, cfg, batch_size=200):
-    """Probabilities [N x T] for prepared (graph, standardized block) pairs."""
+    """Probabilities [N x T] for featurized graphs and their standardized
+    blocks."""
+    return _predict_rows(enc.pack_graphs(graphs), np.arange(len(graphs)),
+                         feat.feature_matrix(blocks, use_qc=cfg.use_qc),
+                         params, batch_size)
+
+
+def _predict_rows(pack, rows, features, params, batch_size):
+    """Probabilities for the graphs of ``pack`` at ``rows``, whose
+    standardized descriptor rows are ``features``."""
     if len(params.heads) == 0:
         raise CheckpointMismatch("model has no task heads")
     probs = []
-    for start in range(0, len(graphs), batch_size):
-        chunk = slice(start, start + batch_size)
-        z = enc.encode_batch(graphs[chunk], params.encoder)
-        feats = feat.feature_matrix(blocks[chunk], use_qc=cfg.use_qc)
-        x = ad.concat([z, Tensor(feats)], axis=1)
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start:start + batch_size]
+        z = enc.encode_batch([pack.graphs[r] for r in chunk], params.encoder,
+                             union=pack.gather(chunk))
+        x = ad.concat([z, Tensor(features[start:start + batch_size])], axis=1)
         if x.data.shape[1] != params.heads[0].w1.data.shape[0]:
             raise CheckpointMismatch(
                 f"checkpoint heads expect {params.heads[0].w1.data.shape[0]} "
                 f"inputs, features provide {x.data.shape[1]}"
             )
-        cols = []
-        for head in params.heads:
-            hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
-            cols.append(ad.add(ad.matmul(hidden, head.w2), head.b2))
-        logits = ad.concat(cols, axis=1)
-        probs.append(ad.sigmoid(logits).data)
+        probs.append(ad.sigmoid(head_logits(x, params.heads)).data)
     return np.concatenate(probs, axis=0)
 
 
-def evaluate_split(table, params, cfg, split):
-    """Per-task metric on a split; None where the metric is undefined."""
+def evaluate_split(table, params, cfg, split, stats):
+    """Per-task metric on a split, standardizing the table's raw blocks
+    with ``stats``; None where the metric is undefined."""
     view = data_mod.select_split(table, split)
     if len(view) == 0:
         return {spec.name: None for spec in table.specs}
-    graphs = [table.graphs[r] for r in view.rows]
-    blocks = [table.blocks[r] for r in view.rows]
-    probs = predict_blocks(graphs, blocks, params, cfg)
+    features = feat.feature_matrix([table.blocks[r] for r in view.rows],
+                                   use_qc=cfg.use_qc, stats=stats)
+    probs = _predict_rows(table.pack, view.rows, features, params, batch_size=200)
     labels = table.labels[view.rows]
     out = {}
     for t, spec in enumerate(table.specs):

@@ -186,6 +186,21 @@ class TestPhysSource:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("fitted on external phys" in e for e in err)
 
+    def test_analyze_refuses_before_writing(self, external, tmp_path, capsys):
+        flags, ckpt, _, _ = external
+        data = flags[flags.index("--data") + 1]
+        tasks = flags[flags.index("--tasks") + 1]
+        out_dir = tmp_path / "analysis"
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--history", str(ckpt.parent / "history_seed0.csv"),
+                       "--data", data, "--tasks", tasks, "--checkpoint", str(ckpt),
+                       "--out", str(out_dir)])
+        assert rc == cli.EXIT_DATA
+        assert not (out_dir / "beta_by_scale.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fitted on external phys" in captured.err
+
     def test_builtin_checkpoint_refuses_external(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")
         assert cli.main(["train", *flags]) == 0
