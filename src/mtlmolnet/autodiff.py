@@ -476,37 +476,10 @@ def clamp(x, lo, hi):
     return _make(data, "clamp", (x,), backward_fn)
 
 
-class AdamState:
-    """First/second moment accumulators and step counter for Adam."""
-
-    def __init__(self, shapes):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
-
-
-def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One in-place Adam update with bias correction over parallel lists.
-
-    ``params`` entries are numpy arrays updated in place; returns
-    (params, state) for convenience.
-    """
-    state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"adam_step: param {p.shape} vs grad {g.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, state
-
-
 class Adam:
-    """Adam over a list of parameter Tensors (missing grads count as zero)."""
+    """Adam with bias correction over a list of parameter Tensors, whose
+    ``data`` is updated in place; a missing grad counts as zero. The first
+    and second moments ``m``/``v`` and the step count ``t`` live here."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -514,22 +487,25 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = AdamState([p.data.shape for p in self.params])
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self.t = 0
 
     def step(self):
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data)
-            for p in self.params
-        ]
-        adam_step(
-            [p.data for p in self.params],
-            grads,
-            self.state,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
+        beta1, beta2 = self.beta1, self.beta2
+        self.t += 1
+        c1 = 1.0 - beta1 ** self.t
+        c2 = 1.0 - beta2 ** self.t
+        for i, param in enumerate(self.params):
+            p = param.data
+            g = param.grad if param.grad is not None else np.zeros_like(p)
+            if p.shape != g.shape:
+                raise ShapeMismatch(f"Adam: param {p.shape} vs grad {g.shape}")
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         for p in self.params:

@@ -25,8 +25,6 @@ from .model import CheckpointMismatch, HeadParams, ModelParams, WeightingState
 
 MAGIC = "MTLMOLNET-CKPT-1"
 
-_STATS_NAMES = ("stats.phys_mean", "stats.phys_std", "stats.qc_mean", "stats.qc_std")
-
 
 def save_checkpoint(path, params, cfg, stats, task_specs):
     tensors = [(name, t.data) for name, t in params.named_tensors()]
@@ -132,7 +130,7 @@ def load_checkpoint(path):
         raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
     n_tasks = len(task_specs)
 
-    def take(name, shape, requires_grad=True):
+    def take(name, shape):
         if name not in arrays:
             raise CheckpointMismatch(f"{path}: missing tensor {name}")
         arr = arrays[name]
@@ -140,39 +138,38 @@ def load_checkpoint(path):
             raise CheckpointMismatch(
                 f"{path}: tensor {name} has shape {arr.shape}, expected {shape}"
             )
-        return Tensor(arr, requires_grad=requires_grad)
+        return arr
+
+    def param(name, shape):
+        return Tensor(take(name, shape), requires_grad=True)
 
     fa, fb, h = cfg.atom_dim, cfg.bond_dim, cfg.hidden
     encoder = enc.EncoderParams(
-        w_in=take("encoder.w_in", (fa + fb, h)),
-        w_msg=take("encoder.w_msg", (h, h)),
-        w_out=take("encoder.w_out", (fa + h, h)),
+        w_in=param("encoder.w_in", (fa + fb, h)),
+        w_msg=param("encoder.w_msg", (h, h)),
+        w_out=param("encoder.w_out", (fa + h, h)),
         depth=cfg.depth,
         hidden=h,
     )
     heads = []
     for t in range(n_tasks):
         heads.append(HeadParams(
-            w1=take(f"head{t}.w1", (cfg.fused_dim, cfg.ffn_hidden)),
-            b1=take(f"head{t}.b1", (cfg.ffn_hidden,)),
-            w2=take(f"head{t}.w2", (cfg.ffn_hidden, 1)),
-            b2=take(f"head{t}.b2", (1,)),
+            w1=param(f"head{t}.w1", (cfg.fused_dim, cfg.ffn_hidden)),
+            b1=param(f"head{t}.b1", (cfg.ffn_hidden,)),
+            w2=param(f"head{t}.w2", (cfg.ffn_hidden, 1)),
+            b2=param(f"head{t}.b2", (1,)),
         ))
     weighting = WeightingState(
         n_tasks, beta_min=cfg.beta_min, beta_max=cfg.beta_max,
         uniform=not cfg.learnable_beta, renormalize=cfg.renormalize_weights,
     )
-    weighting.log_beta = Tensor(arrays.get("log_beta", np.zeros(n_tasks)),
+    weighting.log_beta = Tensor(take("log_beta", (n_tasks,)),
                                 requires_grad=cfg.learnable_beta)
-
-    for name in _STATS_NAMES:
-        if name not in arrays:
-            raise CheckpointMismatch(f"{path}: missing tensor {name}")
     stats = feat.FeatureStats(
-        phys_mean=arrays["stats.phys_mean"],
-        phys_std=arrays["stats.phys_std"],
-        qc_mean=arrays["stats.qc_mean"],
-        qc_std=arrays["stats.qc_std"],
+        phys_mean=take("stats.phys_mean", (feat.PHYS_DIM,)),
+        phys_std=take("stats.phys_std", (feat.PHYS_DIM,)),
+        qc_mean=take("stats.qc_mean", (feat.QC_DIM,)),
+        qc_std=take("stats.qc_std", (feat.QC_DIM,)),
         phys_source=phys_source,
     )
 

@@ -362,29 +362,13 @@ def _check_phys_source(stats, phys_path):
         )
 
 
-def _prepare_molecules(smiles_list, stats, cfg, phys_path=None, qc_path=None):
-    _check_phys_source(stats, phys_path)
-    graphs = [smiles.featurize(smiles.parse_smiles(s)) for s in smiles_list]
-    if phys_path:
-        phys = feat.load_external_phys(phys_path, smiles_list)
-    else:
-        phys = np.stack([feat.builtin_phys_block(g) for g in graphs])
-    if qc_path:
-        qc, qc_mask = feat.load_qc_descriptors(qc_path, smiles_list)
-    else:
-        qc = np.zeros((len(smiles_list), feat.QC_DIM))
-        qc_mask = np.zeros((len(smiles_list), feat.QC_DIM))
-    blocks = [feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
-              for i in range(len(smiles_list))]
-    return graphs, feat.standardize(blocks, stats)
-
-
 def cmd_predict(args):
     params, cfg, stats, specs = load_checkpoint(args.checkpoint)
     mols = _read_molecule_file(args.data)
-    graphs, blocks = _prepare_molecules(mols, stats, cfg,
-                                        phys_path=args.phys, qc_path=args.qc)
-    probs = mdl.predict_blocks(graphs, blocks, params, cfg)
+    _check_phys_source(stats, args.phys)
+    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
+    features = feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
+    probs = mdl.predict_rows(pack, np.arange(len(mols)), features, params)
     dest = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = _csv_writer(dest)
@@ -457,8 +441,10 @@ def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
 def cmd_bench(args):
     params, cfg, stats, specs = load_checkpoint(args.checkpoint)
     mols = _read_molecule_file(args.data)
-    graphs, blocks = _prepare_molecules(mols, stats, cfg,
-                                        phys_path=args.phys, qc_path=args.qc)
+    _check_phys_source(stats, args.phys)
+    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
+    features = feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
+    rows = np.arange(len(mols))
     t_single = args.t_single
     reps = max(args.reps, 3)
     # simulate t_single independent models: one encoder pass per head
@@ -466,11 +452,11 @@ def cmd_bench(args):
                      for t in range(t_single)]
 
     def multi_task_pass():
-        mdl.predict_blocks(graphs, blocks, params, cfg)
+        mdl.predict_rows(pack, rows, features, params)
 
     def single_task_passes():
         for single in single_models:
-            mdl.predict_blocks(graphs, blocks, single, cfg)
+            mdl.predict_rows(pack, rows, features, single)
 
     multi_task_pass()  # warm caches before timing
     times = _timed([multi_task_pass, single_task_passes], reps)
@@ -479,8 +465,8 @@ def cmd_bench(args):
     # machine in one speed state
     speedup = float(np.median(single / multi))
 
-    avg_atoms = float(np.mean([g.n_atoms for g in graphs]))
-    avg_edges = float(np.mean([2 * g.n_bonds for g in graphs]))
+    avg_atoms = float(np.mean([g.n_atoms for g in pack.graphs]))
+    avg_edges = float(np.mean([2 * g.n_bonds for g in pack.graphs]))
     flop_ratio = bench_flop_ratio(cfg, len(specs), t_single, avg_atoms, avg_edges)
 
     print(f"n_molecules,{len(mols)}")
@@ -519,12 +505,16 @@ def cmd_analyze(args):
     specs = dat.load_task_specs(args.tasks)
     table = dat.load_dataset(args.data, specs)
     if args.checkpoint:
-        # refuse a checkpoint before any output is written
+        # refuse a checkpoint, a split too small for the PCA or a bad
+        # molecule before any output is written
         params, cfg, stats, _ = load_checkpoint(args.checkpoint)
         _check_phys_source(stats, args.phys)
         view = dat.select_split(table, args.split)
-        if len(view) == 0:
-            raise dat.EmptyDataset(f"split {args.split!r} selects no rows")
+        if len(view) < 2:
+            raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
+                                   "the PCA needs at least two")
+        mols = [table.smiles[r] for r in view.rows]
+        pack, _ = dat.prepare_molecules(mols, args.phys, args.qc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -550,10 +540,10 @@ def cmd_analyze(args):
         print(f"warning: correlation omitted: {err}", file=sys.stderr)
 
     if args.checkpoint:
-        mols = [table.smiles[r] for r in view.rows]
-        graphs, _ = _prepare_molecules(mols, stats, cfg,
-                                       phys_path=args.phys, qc_path=args.qc)
-        fps = np.stack([enc.encode(g, params.encoder).z for g in graphs])
+        fps = np.concatenate([
+            enc.encode_batch([pack.graphs[r] for r in chunk], params.encoder,
+                             union=pack.gather(chunk)).data
+            for chunk in np.split(np.arange(len(mols)), range(200, len(mols), 200))])
         with open(out_dir / "embeddings.csv", "w", newline="") as fh:
             writer = _csv_writer(fh)
             writer.writerow(["smiles"] + [f"e{i}" for i in range(fps.shape[1])])
@@ -589,7 +579,7 @@ _DATA_ERRORS = (
     FileNotFoundError,
 )
 
-_NUMERIC_ERRORS = (NonFiniteLoss, ad.NonFiniteValue, met.ConvergenceFailure)
+_NUMERIC_ERRORS = (NonFiniteLoss, ad.NonFiniteValue)
 
 
 def main(argv=None):

@@ -179,31 +179,39 @@ def load_dataset(path, specs):
     )
 
 
-def prepare_table(table, phys_path=None, qc_path=None):
-    """Parse and featurize every row's SMILES and attach descriptor blocks.
+def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
+    """Parse and featurize SMILES and build their raw descriptor blocks.
 
-    Descriptors are the built-in set unless an external 200-dim file is
-    given; quantum values come from ``qc_path`` or stay fully masked.
-    Blocks are raw (unstandardized). The graphs are featurized into one
-    pack, ``table.pack``, and their arrays are views into it.
+    The one preparation path of training, evaluation, prediction, bench and
+    analysis. Descriptors are the built-in set unless an external 200-dim
+    file is given; quantum values come from ``qc_path`` or stay fully
+    masked. Returns ``(pack, blocks)``: the graphs featurized into one
+    GraphPack (``pack.graphs``, whose arrays are views into it) and one
+    unstandardized FeatureBlock per molecule.
     """
-    graphs = [smiles.parse_smiles(s) for s in table.smiles]
+    if not smiles_list:
+        raise EmptyDataset("no molecules to prepare")
+    graphs = [smiles.parse_smiles(s) for s in smiles_list]
     if phys_path is not None:
-        phys = feat.load_external_phys(phys_path, table.smiles)
+        phys = feat.load_external_phys(phys_path, smiles_list)
     else:
         phys = np.stack([feat.builtin_phys_block(g) for g in graphs])
     if qc_path is not None:
-        qc, qc_mask = feat.load_qc_descriptors(qc_path, table.smiles)
+        qc, qc_mask = feat.load_qc_descriptors(qc_path, smiles_list)
     else:
-        qc = np.zeros((table.n_rows, feat.QC_DIM))
-        qc_mask = np.zeros((table.n_rows, feat.QC_DIM))
-    table.graphs = graphs
-    table.pack = enc.pack_graphs(graphs, featurize=True)
+        qc = np.zeros((len(smiles_list), feat.QC_DIM))
+        qc_mask = np.zeros((len(smiles_list), feat.QC_DIM))
+    blocks = [feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
+              for i in range(len(smiles_list))]
+    return enc.pack_graphs(graphs, featurize=True), blocks
+
+
+def prepare_table(table, phys_path=None, qc_path=None):
+    """Prepare every row's SMILES with ``prepare_molecules`` and attach the
+    pack (``table.pack``), the graphs, the raw blocks and the phys source."""
+    table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path)
+    table.graphs = table.pack.graphs
     table.phys_source = feat.phys_source(phys_path)
-    table.blocks = [
-        feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
-        for i in range(table.n_rows)
-    ]
     return table
 
 

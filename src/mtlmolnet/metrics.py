@@ -6,8 +6,9 @@ average precision over positives in descending score order; ties keep
 their input order under a stable descending sort, which is the documented
 (and deterministic) convention since average precision is sensitive to it.
 
-PCA uses deflated power iteration on the centered population covariance;
-each component's sign is fixed so its largest-magnitude entry is positive.
+PCA takes the eigendecomposition (``np.linalg.eigh``) of the centered
+population covariance; each component's sign is fixed so its
+largest-magnitude entry is positive.
 """
 
 import csv
@@ -29,10 +30,6 @@ class NoPositives(MetricError):
 
 
 class ConstantInput(MetricError):
-    pass
-
-
-class ConvergenceFailure(RuntimeError):
     pass
 
 
@@ -119,12 +116,13 @@ class PcaResult:
     projected: np.ndarray  # [n x k]
 
 
-def pca(X, k, tol=1e-10, max_iter=10000, seed=0):
-    """Top-k principal axes of X via deflated power iteration.
+def pca(X, k):
+    """Top-k principal axes of X from ``np.linalg.eigh`` of the centered
+    population covariance.
 
-    Eigenvalues of the centered population covariance become the explained
-    variances. Iterates are re-orthogonalized against found components each
-    step, so near-degenerate spectra still yield an orthonormal basis.
+    The explained variances are its k largest eigenvalues, in descending
+    order and clamped at 0; the components are orthonormal, and each one's
+    sign is fixed so its largest-magnitude entry is positive.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -134,49 +132,12 @@ def pca(X, k, tol=1e-10, max_iter=10000, seed=0):
         raise MetricError(f"pca: k={k} out of range for {n}x{d} data")
 
     Xc = X - X.mean(axis=0)
-    cov = (Xc.T @ Xc) / n
-    rng = np.random.default_rng(seed)
-
-    components = np.zeros((d, k))
-    variances = np.zeros(k)
-    found = np.zeros((d, 0))
-    for comp in range(k):
-        v = rng.normal(size=d)
-        v -= found @ (found.T @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:  # pathological start; retry deterministically
-            v = np.eye(d)[comp % d] - found @ (found.T @ np.eye(d)[comp % d])
-            norm = np.linalg.norm(v)
-        v /= norm
-        lam = 0.0
-        for it in range(max_iter):
-            w = cov @ v
-            w -= found @ (found.T @ w)
-            wn = np.linalg.norm(w)
-            if wn < 1e-300:
-                lam = 0.0  # remaining spectrum is zero; keep current direction
-                break
-            w /= wn
-            if w @ v < 0:
-                w = -w
-            delta = np.linalg.norm(w - v)
-            v = w
-            lam = float(v @ cov @ v)
-            if delta < tol:
-                break
-        else:
-            raise ConvergenceFailure(
-                f"power iteration did not converge for component {comp} "
-                f"within {max_iter} iterations"
-            )
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        components[:, comp] = v
-        variances[comp] = max(lam, 0.0)
-        found = components[:, : comp + 1]
-        cov = cov - variances[comp] * np.outer(v, v)
-
-    return PcaResult(components=components, explained_variance=variances,
+    eigvals, eigvecs = np.linalg.eigh((Xc.T @ Xc) / n)  # ascending
+    components = eigvecs[:, ::-1][:, :k]
+    top = np.argmax(np.abs(components), axis=0)
+    components = components * np.where(components[top, np.arange(k)] < 0, -1.0, 1.0)
+    return PcaResult(components=components,
+                     explained_variance=np.maximum(eigvals[::-1][:k], 0.0),
                      projected=Xc @ components)
 
 

@@ -320,13 +320,13 @@ def train(table, cfg, progress=None):
 
 def predict_blocks(graphs, blocks, params, cfg, batch_size=200):
     """Probabilities [N x T] for featurized graphs and their standardized
-    blocks."""
-    return _predict_rows(enc.pack_graphs(graphs), np.arange(len(graphs)),
-                         feat.feature_matrix(blocks, use_qc=cfg.use_qc),
-                         params, batch_size)
+    blocks; ``predict_rows`` on a pack of the graphs."""
+    return predict_rows(enc.pack_graphs(graphs), np.arange(len(graphs)),
+                        feat.feature_matrix(blocks, use_qc=cfg.use_qc),
+                        params, batch_size)
 
 
-def _predict_rows(pack, rows, features, params, batch_size):
+def predict_rows(pack, rows, features, params, batch_size=200):
     """Probabilities for the graphs of ``pack`` at ``rows``, whose
     standardized descriptor rows are ``features``."""
     if len(params.heads) == 0:
@@ -354,7 +354,7 @@ def evaluate_split(table, params, cfg, split, stats):
         return {spec.name: None for spec in table.specs}
     features = feat.feature_matrix([table.blocks[r] for r in view.rows],
                                    use_qc=cfg.use_qc, stats=stats)
-    probs = _predict_rows(table.pack, view.rows, features, params, batch_size=200)
+    probs = predict_rows(table.pack, view.rows, features, params)
     labels = table.labels[view.rows]
     out = {}
     for t, spec in enumerate(table.specs):

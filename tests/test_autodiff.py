@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from mtlmolnet import autodiff as ad
 from mtlmolnet.autodiff import (
     Adam,
-    AdamState,
     DomainError,
     NonFiniteValue,
     NotScalar,
     ShapeMismatch,
     TapeConsumed,
     Tensor,
-    adam_step,
     clamp,
     concat,
     index_select,
@@ -240,17 +238,17 @@ def test_gradcheck_elementwise_ops(seed):
 
 class TestAdam:
     def test_first_step_direction(self):
-        p = np.array([1.0])
-        state = AdamState([p.shape])
-        adam_step([p], [np.array([0.5])], state, lr=0.1)
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        p.grad = np.array([0.5])
+        Adam([p], lr=0.1).step()
         # bias-corrected m/sqrt(v) equals sign(g) for the first step
-        assert p[0] == pytest.approx(1.0 - 0.1, rel=1e-6)
+        assert p.data[0] == pytest.approx(1.0 - 0.1, rel=1e-6)
 
     def test_zero_grad_no_motion(self):
-        p = np.array([1.0, -2.0])
-        state = AdamState([p.shape])
-        adam_step([p], [np.zeros(2)], state)
-        np.testing.assert_array_equal(p, [1.0, -2.0])
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p.grad = np.zeros(2)
+        Adam([p]).step()
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_deterministic(self):
         def run():

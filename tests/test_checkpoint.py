@@ -5,6 +5,7 @@ import pytest
 
 from mtlmolnet import cli
 from mtlmolnet import model as mdl
+from mtlmolnet.autodiff import Tensor
 from mtlmolnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mtlmolnet.config import TrainConfig
 from mtlmolnet.data import TaskSpec
@@ -165,6 +166,25 @@ class TestManifestHardening:
         save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
         write_manifest(path, edit)
         assert_refused(path, tmp_path, capsys)
+
+
+class TestTensorShapes:
+    def test_stats_shape_checked(self, tmp_path, capsys):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        stats = make_stats(np.random.default_rng(7))
+        stats.phys_mean = stats.phys_mean[:3]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, stats, SPECS[:1])
+        assert_refused(path, tmp_path, capsys, match=r"stats\.phys_mean has shape \(3,\)")
+
+    def test_log_beta_shape_checked(self, tmp_path, capsys):
+        cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=2)
+        params.weighting.log_beta = Tensor(np.zeros(1), requires_grad=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(8)), SPECS)
+        assert_refused(path, tmp_path, capsys, match=r"log_beta has shape \(1,\)")
 
 
 class TestPhysSource:

@@ -107,6 +107,20 @@ class TestPredictEval:
             for cell in row[1:]:
                 assert 0.0 < float(cell) < 1.0
 
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_header_only_file_exits_3(self, trained, tmp_path, capsys, command):
+        run_dir, _ = trained
+        mols = tmp_path / "header_only.txt"
+        mols.write_text("smiles\n")
+        capsys.readouterr()
+        rc = cli.main([command, "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
+                       "--data", str(mols)])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_eval_schema_and_range(self, trained, tmp_path, capsys):
         run_dir, flags = trained
         ckpt = run_dir / "runs" / "model_seed0.ckpt"
@@ -200,6 +214,29 @@ class TestPhysSource:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "fitted on external phys" in captured.err
+
+    def test_analyze_refuses_one_row_split(self, external, tmp_path, capsys):
+        flags, ckpt, phys, _ = external
+        data = Path(flags[flags.index("--data") + 1])
+        tasks = flags[flags.index("--tasks") + 1]
+        header, *rows = data.read_text().splitlines()
+        first = next(i for i, row in enumerate(rows) if ",test" in row)
+        one_row = tmp_path / "one_test_row.csv"
+        one_row.write_text("\n".join([header] + [
+            row if i == first else row.replace(",test", ",val")
+            for i, row in enumerate(rows)]) + "\n")
+        out_dir = tmp_path / "analysis"
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--history", str(ckpt.parent / "history_seed0.csv"),
+                       "--data", str(one_row), "--tasks", tasks, "--phys", str(phys),
+                       "--checkpoint", str(ckpt), "--split", "test", "--out", str(out_dir)])
+        assert rc == cli.EXIT_DATA
+        assert not (out_dir / "beta_by_scale.csv").exists()
+        assert not (out_dir / "embeddings.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "at least two" in err[0]
 
     def test_builtin_checkpoint_refuses_external(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")

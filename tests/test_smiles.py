@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlmolnet.smiles import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
     MolGraph,
+    SmilesError,
     UnbalancedParenthesis,
     UnknownAtomToken,
     UnmatchedRingClosure,
@@ -12,6 +15,11 @@ from mtlmolnet.smiles import (
     featurize,
     parse_smiles,
 )
+
+# atoms, bonds, branches, ring labels and bracket contents of SMILES
+SMILES_TOKENS = ["C", "N", "O", "S", "P", "F", "Cl", "Br", "I", "B", "c", "n", "o", "s",
+                 "p", "(", ")", "[", "]", "=", "#", "-", "+", ":", "/", "\\", ".", "@",
+                 "H", "1", "2", "3", "%10", "0", "Se", "Si", "Na", "Z"]
 
 
 class TestParse:
@@ -207,6 +215,14 @@ class TestParseErrors:
     def test_hypervalent_bracket_allowed_when_hypovalent(self):
         g = parse_smiles("[CH2]")  # carbene-like radicals accepted
         assert g.atoms[0].explicit_h == 2
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(SMILES_TOKENS), min_size=1, max_size=24).map("".join))
+    def test_random_strings_fail_only_with_offset_inside(self, s):
+        try:
+            featurize(parse_smiles(s))
+        except SmilesError as err:
+            assert 0 <= err.offset < len(s)
 
 
 class TestGraphInvariants:
