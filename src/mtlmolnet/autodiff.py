@@ -14,7 +14,14 @@ results are bit-reproducible. ``scatter_add`` and the backward pass of
 ``index_select`` aggregate rows with ``_kernels.scatter_add_rows``, a
 pure-numpy kernel that adds duplicate indices in row order and so matches
 ``np.add.at`` bit for bit.
+
+A model's parameters live in a ``ParamStore``: one flat float64 vector
+whose reshaped views are the leaf Tensors' ``data``. ``Adam`` runs in place
+over that vector, with its moments and the gathered gradients flat too.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -64,9 +71,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate ``grad`` on every requires_grad ancestor of this scalar.
@@ -118,24 +122,6 @@ class Tensor:
 
     def sum(self, axis=None):
         return tensor_sum(self, axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
 
 def _lift(x):
@@ -476,36 +462,66 @@ def clamp(x, lo, hi):
     return _make(data, "clamp", (x,), backward_fn)
 
 
-class Adam:
-    """Adam with bias correction over a list of parameter Tensors, whose
-    ``data`` is updated in place; a missing grad counts as zero. The first
-    and second moments ``m``/``v`` and the step count ``t`` live here."""
+class ParamStore:
+    """Parameter Tensors whose ``data`` are views into one flat float64
+    vector, in the order of ``shapes``, a list of ``(name, shape)``. A
+    snapshot is ``flat.copy()`` and a restore ``flat[...] = snapshot``;
+    the views are never rebound."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros(p.data.shape) for p in self.params]
-        self.v = [np.zeros(p.data.shape) for p in self.params]
+    def __init__(self, shapes):
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.flat = np.zeros(sum(sizes))
+        ends = itertools.accumulate(sizes)
+        self.tensors = {name: Tensor(self.flat[end - size:end].reshape(shape),
+                                     requires_grad=True)
+                        for (name, shape), size, end in zip(shapes, sizes, ends)}
+
+
+class Adam:
+    """Adam with bias correction, in place over the flat vector of a
+    ParamStore; a missing grad counts as zero. The moments ``m``/``v`` and
+    the gathered gradients are flat vectors too. A step runs a per-tensor
+    Adam's elementwise arithmetic in the same order, so the bits are the
+    same, in blocks of ``_kernels._BLOCK_BYTES`` that stay in cache."""
+
+    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(store.tensors.values())
+        self.flat = store.flat
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self._grad = (np.zeros_like(self.flat) for _ in range(3))
         self.t = 0
+        self._scratch = np.zeros((2, _kernels._BLOCK_BYTES // 8))
 
     def step(self):
         beta1, beta2 = self.beta1, self.beta2
         self.t += 1
         c1 = 1.0 - beta1 ** self.t
         c2 = 1.0 - beta2 ** self.t
-        for i, param in enumerate(self.params):
-            p = param.data
-            g = param.grad if param.grad is not None else np.zeros_like(p)
-            if p.shape != g.shape:
-                raise ShapeMismatch(f"Adam: param {p.shape} vs grad {g.shape}")
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        end = 0
+        for param in self.params:
+            g, start = param.grad, end
+            end += param.data.size
+            if g is not None and g.shape != param.data.shape:
+                raise ShapeMismatch(f"Adam: param {param.data.shape} vs grad {g.shape}")
+            self._grad[start:end] = 0.0 if g is None else g.reshape(-1)
+        block = self._scratch.shape[1]
+        for lo in range(0, end, block):
+            p, g, m, v = (x[lo:lo + block] for x in (self.flat, self._grad, self.m, self.v))
+            a, b = self._scratch[:, :len(p)]
+            m *= beta1  # m = beta1 * m + (1 - beta1) * g
+            np.multiply(g, 1.0 - beta1, out=a)
+            m += a
+            v *= beta2  # v = beta2 * v + (1 - beta2) * (g * g)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            v += a
+            np.divide(v, c2, out=a)  # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
     def zero_grad(self):
         for p in self.params:

@@ -10,6 +10,8 @@ manifest also records the built-in descriptor names and the phys source
 a checkpoint whose names differ from this build's, or that records either
 one not at all, is refused, since its statistics would standardize the
 wrong columns without any error. A malformed manifest is refused as well.
+Loading builds a zero model of the recorded config's parameter layout and
+copies each named tensor into its view, refusing a missing or mis-shaped one.
 """
 
 import json
@@ -17,30 +19,22 @@ import math
 
 import numpy as np
 
-from . import encoder as enc
 from . import features as feat
-from .autodiff import Tensor
 from .config import TrainConfig
-from .model import CheckpointMismatch, HeadParams, ModelParams, WeightingState
+from .model import CheckpointMismatch, zero_model
 
 MAGIC = "MTLMOLNET-CKPT-1"
+_STATS_DIMS = {"phys_mean": feat.PHYS_DIM, "phys_std": feat.PHYS_DIM,
+               "qc_mean": feat.QC_DIM, "qc_std": feat.QC_DIM}
 
 
 def save_checkpoint(path, params, cfg, stats, task_specs):
     tensors = [(name, t.data) for name, t in params.named_tensors()]
-    tensors += [
-        ("stats.phys_mean", stats.phys_mean),
-        ("stats.phys_std", stats.phys_std),
-        ("stats.qc_mean", stats.qc_mean),
-        ("stats.qc_std", stats.qc_std),
-    ]
-    directory = []
-    offset = 0
-    blobs = []
+    tensors += [(f"stats.{key}", getattr(stats, key)) for key in _STATS_DIMS]
+    directory, blobs, offset = [], [], 0
     for name, arr in tensors:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
+        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         offset += len(blobs[-1])
     manifest = {
         "config": cfg.to_dict(),
@@ -121,14 +115,13 @@ def load_checkpoint(path):
             raise CheckpointMismatch(
                 f"{path}: truncated tensor {entry['name']}"
             ) from None
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        arrays[entry["name"]] = arr.reshape(shape)
 
     try:
         cfg = TrainConfig.from_dict(manifest["config"])
         task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
     except (TypeError, ValueError) as err:
         raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
-    n_tasks = len(task_specs)
 
     def take(name, shape):
         if name not in arrays:
@@ -140,38 +133,10 @@ def load_checkpoint(path):
             )
         return arr
 
-    def param(name, shape):
-        return Tensor(take(name, shape), requires_grad=True)
-
-    fa, fb, h = cfg.atom_dim, cfg.bond_dim, cfg.hidden
-    encoder = enc.EncoderParams(
-        w_in=param("encoder.w_in", (fa + fb, h)),
-        w_msg=param("encoder.w_msg", (h, h)),
-        w_out=param("encoder.w_out", (fa + h, h)),
-        depth=cfg.depth,
-        hidden=h,
-    )
-    heads = []
-    for t in range(n_tasks):
-        heads.append(HeadParams(
-            w1=param(f"head{t}.w1", (cfg.fused_dim, cfg.ffn_hidden)),
-            b1=param(f"head{t}.b1", (cfg.ffn_hidden,)),
-            w2=param(f"head{t}.w2", (cfg.ffn_hidden, 1)),
-            b2=param(f"head{t}.b2", (1,)),
-        ))
-    weighting = WeightingState(
-        n_tasks, beta_min=cfg.beta_min, beta_max=cfg.beta_max,
-        uniform=not cfg.learnable_beta, renormalize=cfg.renormalize_weights,
-    )
-    weighting.log_beta = Tensor(take("log_beta", (n_tasks,)),
-                                requires_grad=cfg.learnable_beta)
-    stats = feat.FeatureStats(
-        phys_mean=take("stats.phys_mean", (feat.PHYS_DIM,)),
-        phys_std=take("stats.phys_std", (feat.PHYS_DIM,)),
-        qc_mean=take("stats.qc_mean", (feat.QC_DIM,)),
-        qc_std=take("stats.qc_std", (feat.QC_DIM,)),
-        phys_source=phys_source,
-    )
-
-    params = ModelParams(encoder=encoder, heads=heads, weighting=weighting)
+    params = zero_model(cfg, len(task_specs))
+    for name, t in params.named_tensors():
+        t.data[...] = take(name, t.data.shape)
+    stats = feat.FeatureStats(**{key: take(f"stats.{key}", (dim,)).copy()
+                                 for key, dim in _STATS_DIMS.items()},
+                              phys_source=phys_source)
     return params, cfg, stats, task_specs

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -80,6 +81,13 @@ def _default_seed():
     return 0
 
 
+# the TrainConfig fields that flags and config files set; seeds set the seed
+_TRAIN_KEYS = ("variant", "epochs", "batch_size", "lr", "hidden", "depth", "ffn_hidden",
+               "beta_min", "beta_max", "dropout")
+_CONFIG_KEYS = {**{key: TrainConfig.__dataclass_fields__[key].type for key in _TRAIN_KEYS},
+                **dict.fromkeys(("seeds", "data", "tasks", "phys", "qc", "out"), str)}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mtlmolnet",
@@ -98,17 +106,8 @@ def build_parser():
             p.add_argument("--variant", choices=VARIANTS, default=None)
             p.add_argument("--seeds", default=None,
                            help="comma-separated seeds (default: MTLMOLNET_SEED or 0)")
-            p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--batch-size", type=int, default=None)
-            p.add_argument("--lr", type=float, default=None)
-            p.add_argument("--hidden", type=int, default=None)
-            p.add_argument("--depth", type=int, default=None)
-            p.add_argument("--ffn-hidden", type=int, default=None)
-            p.add_argument("--beta-min", type=float, default=None)
-            p.add_argument("--beta-max", type=float, default=None)
-            p.add_argument("--dropout", type=float, default=None)
-            p.add_argument("--uniform-weights", action="store_true", default=None)
-            p.add_argument("--renormalize-weights", action="store_true", default=None)
+            for key in _TRAIN_KEYS[1:]:  # all but --variant, which has choices
+                p.add_argument("--" + key.replace("_", "-"), type=_CONFIG_KEYS[key])
 
     p_train = sub.add_parser("train", help="train one model per seed")
     add_common(p_train)
@@ -148,20 +147,11 @@ def build_parser():
     p_analyze.add_argument("--checkpoint", help="export fingerprints + PCA if given")
     p_analyze.add_argument("--split", default="val", choices=["train", "val", "test"],
                            help="rows to embed (default val)")
-    p_analyze.add_argument("--phys", help="external 200-dim descriptor CSV")
-    p_analyze.add_argument("--qc", help="quantum descriptor CSV")
+    p_analyze.add_argument("--phys", help="external 200-dim descriptor CSV (checked, not read)")
+    p_analyze.add_argument("--qc", help="quantum descriptor CSV (not read)")
     p_analyze.add_argument("--out", default="runs", help="output directory")
 
     return parser
-
-
-_CONFIG_KEYS = {
-    "variant": str, "epochs": int, "batch_size": int, "lr": float,
-    "hidden": int, "depth": int, "ffn_hidden": int, "beta_min": float,
-    "beta_max": float, "dropout": float, "uniform_weights": bool,
-    "renormalize_weights": bool, "seeds": str, "data": str, "tasks": str,
-    "phys": str, "qc": str, "out": str,
-}
 
 
 def merge_config(args):
@@ -172,14 +162,10 @@ def merge_config(args):
         for key, text in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            typ = _CONFIG_KEYS[key]
-            if typ is bool:
-                values[key] = text.lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    values[key] = typ(text)
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad value {text!r}") from None
+            try:
+                values[key] = _CONFIG_KEYS[key](text)
+            except ValueError:
+                raise ConfigError(f"config key {key}: bad value {text!r}") from None
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -458,11 +444,14 @@ def cmd_bench(args):
         for single in single_models:
             mdl.predict_rows(pack, rows, features, single)
 
-    multi_task_pass()  # warm caches before timing
+    warm = _timed([multi_task_pass], 1)[0, 0]  # also warms caches
+    # each rep's ratio compares passes that ran back to back, on the machine
+    # in one speed state; fast passes get more reps (about 50 ms of multi-task
+    # passes per requested rep), so a burst of noise spoils a few ratios, not
+    # their median
+    reps *= max(1, math.ceil(0.05 / max(warm, 1e-9)))
     times = _timed([multi_task_pass, single_task_passes], reps)
     multi, single = times[:, 0], times[:, 1]
-    # each rep's ratio compares passes that ran back to back, on the
-    # machine in one speed state
     speedup = float(np.median(single / multi))
 
     avg_atoms = float(np.mean([g.n_atoms for g in pack.graphs]))
@@ -514,7 +503,7 @@ def cmd_analyze(args):
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
                                    "the PCA needs at least two")
         mols = [table.smiles[r] for r in view.rows]
-        pack, _ = dat.prepare_molecules(mols, args.phys, args.qc)
+        pack = enc.pack_graphs(dat.parse_molecules(mols), featurize=True)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

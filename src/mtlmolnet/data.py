@@ -179,19 +179,25 @@ def load_dataset(path, specs):
     )
 
 
+def parse_molecules(smiles_list):
+    """The parsed graphs of a non-empty list of SMILES."""
+    if not smiles_list:
+        raise EmptyDataset("no molecules to prepare")
+    return [smiles.parse_smiles(s) for s in smiles_list]
+
+
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     """Parse and featurize SMILES and build their raw descriptor blocks.
 
-    The one preparation path of training, evaluation, prediction, bench and
-    analysis. Descriptors are the built-in set unless an external 200-dim
-    file is given; quantum values come from ``qc_path`` or stay fully
-    masked. Returns ``(pack, blocks)``: the graphs featurized into one
-    GraphPack (``pack.graphs``, whose arrays are views into it) and one
+    The one preparation path of training, evaluation, prediction and bench;
+    analysis, which reads no descriptors, packs ``parse_molecules`` alone.
+    Descriptors are the built-in set unless an external 200-dim file is
+    given; quantum values come from ``qc_path`` or stay fully masked.
+    Returns ``(pack, blocks)``: the graphs featurized into one GraphPack
+    (``pack.graphs``, whose arrays are views into it) and one
     unstandardized FeatureBlock per molecule.
     """
-    if not smiles_list:
-        raise EmptyDataset("no molecules to prepare")
-    graphs = [smiles.parse_smiles(s) for s in smiles_list]
+    graphs = parse_molecules(smiles_list)
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, smiles_list)
     else:

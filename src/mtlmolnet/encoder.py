@@ -13,6 +13,7 @@ packed once into a ``GraphPack`` of flat arrays (like Chemprop's
 ``BatchMolGraph``), and a batch's union is a vectorised gather from it.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import smiles
 from .autodiff import ShapeMismatch, Tensor
+from .config import TrainConfig
 
 
 class EmptyMolecule(ValueError):
@@ -50,19 +52,30 @@ class Fingerprint:
     z: np.ndarray
 
 
-def init_encoder_params(atom_dim, bond_dim, hidden, depth, rng):
-    def xavier(n_in, n_out):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)),
-                      requires_grad=True)
+def init_weights(tensors, rng):
+    """Draw each 2-D weight among ``tensors`` in place, in order, from the
+    Xavier-uniform distribution; 1-D tensors (biases, ``log_beta``) keep
+    their zeros."""
+    for t in tensors:
+        if t.data.ndim == 2:
+            n_in, n_out = t.data.shape
+            limit = np.sqrt(6.0 / (n_in + n_out))
+            t.data[...] = rng.uniform(-limit, limit, size=(n_in, n_out))
 
-    return EncoderParams(
-        w_in=xavier(atom_dim + bond_dim, hidden),
-        w_msg=xavier(hidden, hidden),
-        w_out=xavier(atom_dim + hidden, hidden),
-        depth=depth,
-        hidden=hidden,
-    )
+
+def encoder_params(tensors, cfg):
+    """EncoderParams over the ``encoder.*`` entries of a store's tensors."""
+    return EncoderParams(w_in=tensors["encoder.w_in"], w_msg=tensors["encoder.w_msg"],
+                         w_out=tensors["encoder.w_out"], depth=cfg.depth,
+                         hidden=cfg.hidden)
+
+
+def init_encoder_params(atom_dim, bond_dim, hidden, depth, rng):
+    """Freshly initialised encoder weights, in a store of their own."""
+    cfg = TrainConfig(atom_dim=atom_dim, bond_dim=bond_dim, hidden=hidden, depth=depth)
+    store = ad.ParamStore(cfg.param_shapes(n_tasks=0))
+    init_weights(store.tensors.values(), rng)
+    return encoder_params(store.tensors, cfg)
 
 
 @dataclass
@@ -232,10 +245,7 @@ def encode(g, params):
 
 
 def count_parameters(cfg, n_tasks):
-    """Exact count of learnable scalars for a model configuration."""
-    enc = ((cfg.atom_dim + cfg.bond_dim) * cfg.hidden
-           + cfg.hidden * cfg.hidden
-           + (cfg.atom_dim + cfg.hidden) * cfg.hidden)
-    head = cfg.fused_dim * cfg.ffn_hidden + cfg.ffn_hidden + cfg.ffn_hidden + 1
-    weighting = n_tasks if cfg.learnable_beta else 0
-    return enc + n_tasks * head + weighting
+    """Exact count of learnable scalars for a model configuration: the sizes
+    in its parameter layout, ``log_beta`` only where it is learned."""
+    return sum(math.prod(shape) for name, shape in cfg.param_shapes(n_tasks)
+               if name != "log_beta" or cfg.learnable_beta)

@@ -12,9 +12,10 @@ nothing. The clamp matters: since every r_t < 1, an unbounded exponent
 would drive all weights to zero, minimizing the total loss trivially.
 
 With uniform weighting, w_t is 1 for every task present in the batch.
+A model's parameters are views into one ``ParamStore`` vector, so the best
+epoch's snapshot is one copy of it.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,13 @@ class WeightingState:
     """Learnable per-task loss-weight exponents."""
 
     def __init__(self, n_tasks, beta_min=0.1, beta_max=6.0, uniform=False,
-                 renormalize=False):
-        self.log_beta = Tensor(np.zeros(n_tasks), requires_grad=not uniform)
+                 log_beta=None):
+        if log_beta is None:
+            log_beta = Tensor(np.zeros(n_tasks), requires_grad=not uniform)
+        self.log_beta = log_beta
         self.beta_min = beta_min
         self.beta_max = beta_max
         self.uniform = uniform
-        self.renormalize = renormalize
 
     @property
     def beta_eff(self):
@@ -74,72 +76,54 @@ class WeightingState:
         """
         present = (r > 0).astype(np.float64)
         if self.uniform:
-            w = Tensor(present)
-        else:
-            beta = ad.clamp(ad.softplus(self.log_beta), self.beta_min, self.beta_max)
-            safe_r = np.where(r > 0, r, 1.0)
-            w = ad.mul(ad.pow_elem(Tensor(safe_r), beta), Tensor(present))
-        if self.renormalize:
-            total = ad.tensor_sum(w)
-            w = ad.mul(w, ad.pow_elem(total, Tensor(-1.0)))
-        return w
+            return Tensor(present)
+        beta = ad.clamp(ad.softplus(self.log_beta), self.beta_min, self.beta_max)
+        safe_r = np.where(r > 0, r, 1.0)
+        return ad.mul(ad.pow_elem(Tensor(safe_r), beta), Tensor(present))
 
 
 @dataclass
 class ModelParams:
+    """The encoder, the task heads and the loss weighting of one model.
+    Their tensors are the views of ``store``, in the order of
+    ``TrainConfig.param_shapes``."""
+
     encoder: enc.EncoderParams
     heads: list
     weighting: WeightingState
+    store: ad.ParamStore
 
-    def named_tensors(self, trainable_only=False):
-        out = list(self.encoder.tensors())
-        for t, head in enumerate(self.heads):
-            out += [(f"head{t}.w1", head.w1), (f"head{t}.b1", head.b1),
-                    (f"head{t}.w2", head.w2), (f"head{t}.b2", head.b2)]
-        if not trainable_only or self.weighting.log_beta.requires_grad:
-            out.append(("log_beta", self.weighting.log_beta))
-        return out
-
-    def trainable(self):
-        return [t for _, t in self.named_tensors(trainable_only=True)
-                if t.requires_grad]
+    def named_tensors(self):
+        return list(self.store.tensors.items())
 
     def clone_data(self):
-        return {name: t.data.copy() for name, t in self.named_tensors()}
+        return self.store.flat.copy()
 
     def load_data(self, snapshot):
-        for name, t in self.named_tensors():
-            t.data = snapshot[name].copy()
+        self.store.flat[...] = snapshot
+
+
+def zero_model(cfg, n_tasks):
+    """A model of ``cfg``'s parameter layout with every parameter 0."""
+    store = ad.ParamStore(cfg.param_shapes(n_tasks))
+    t = store.tensors
+    t["log_beta"].requires_grad = cfg.learnable_beta
+    heads = [HeadParams(**{k: t[f"head{i}.{k}"] for k in ("w1", "b1", "w2", "b2")})
+             for i in range(n_tasks)]
+    weighting = WeightingState(n_tasks, beta_min=cfg.beta_min, beta_max=cfg.beta_max,
+                               uniform=not cfg.learnable_beta, log_beta=t["log_beta"])
+    return ModelParams(encoder=enc.encoder_params(t, cfg), heads=heads,
+                       weighting=weighting, store=store)
 
 
 def init_model(cfg, n_tasks, rng=None):
+    """A fresh model: Xavier-uniform weights drawn in layout order, biases
+    and ``log_beta`` at 0."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    encoder = enc.init_encoder_params(cfg.atom_dim, cfg.bond_dim, cfg.hidden,
-                                      cfg.depth, rng)
-    d_in = cfg.fused_dim
-
-    def xavier(n_in, n_out):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)),
-                      requires_grad=True)
-
-    heads = []
-    for _ in range(n_tasks):
-        heads.append(HeadParams(
-            w1=xavier(d_in, cfg.ffn_hidden),
-            b1=Tensor(np.zeros(cfg.ffn_hidden), requires_grad=True),
-            w2=xavier(cfg.ffn_hidden, 1),
-            b2=Tensor(np.zeros(1), requires_grad=True),
-        ))
-    weighting = WeightingState(
-        n_tasks,
-        beta_min=cfg.beta_min,
-        beta_max=cfg.beta_max,
-        uniform=not cfg.learnable_beta,
-        renormalize=cfg.renormalize_weights,
-    )
-    return ModelParams(encoder=encoder, heads=heads, weighting=weighting)
+    params = zero_model(cfg, n_tasks)
+    enc.init_weights(params.store.tensors.values(), rng)
+    return params
 
 
 def task_proportions(batch):
@@ -153,13 +137,10 @@ def task_proportions(batch):
 
 def task_weights(r, log_beta, beta_min=0.1, beta_max=6.0, uniform=False):
     """Functional form of WeightingState.weights for given log exponents."""
+    if not isinstance(log_beta, Tensor):
+        log_beta = Tensor(np.asarray(log_beta, dtype=np.float64), requires_grad=True)
     state = WeightingState(len(r), beta_min=beta_min, beta_max=beta_max,
-                           uniform=uniform)
-    if isinstance(log_beta, Tensor):
-        state.log_beta = log_beta
-    else:
-        state.log_beta = Tensor(np.asarray(log_beta, dtype=np.float64),
-                                requires_grad=True)
+                           uniform=uniform, log_beta=log_beta)
     return state.weights(np.asarray(r, dtype=np.float64))
 
 
@@ -259,7 +240,7 @@ def train(table, cfg, progress=None):
 
     rng = np.random.default_rng(cfg.seed)
     params = init_model(cfg, table.n_tasks, rng)
-    optimizer = ad.Adam(params.trainable(), lr=cfg.lr)
+    optimizer = ad.Adam(params.store, lr=cfg.lr)
 
     history = []
     best_epoch = 0

@@ -9,6 +9,7 @@ from mtlmolnet.autodiff import (
     DomainError,
     NonFiniteValue,
     NotScalar,
+    ParamStore,
     ShapeMismatch,
     TapeConsumed,
     Tensor,
@@ -236,25 +237,61 @@ def test_gradcheck_elementwise_ops(seed):
     check_grad(lambda t: ad.tensor_sum(t, axis=1), x0)
 
 
+def store_of(**arrays):
+    """A ParamStore holding ``arrays`` under their keyword names, in order."""
+    store = ParamStore([(name, np.shape(a)) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        store.tensors[name].data[...] = a
+    return store
+
+
+class ReferenceAdam:
+    """Per-tensor Adam with bias correction, one moment array per tensor:
+    the algorithm the flat Adam replaced, kept as its oracle."""
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = [a.copy() for a in arrays]
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros(a.shape) for a in arrays]
+        self.v = [np.zeros(a.shape) for a in arrays]
+        self.t = 0
+
+    def step(self, grads):
+        beta1, beta2 = self.beta1, self.beta2
+        self.t += 1
+        c1 = 1.0 - beta1 ** self.t
+        c2 = 1.0 - beta2 ** self.t
+        for i, p in enumerate(self.params):
+            g = grads[i] if grads[i] is not None else np.zeros_like(p)
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 class TestAdam:
     def test_first_step_direction(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        store = store_of(p=[1.0])
+        p = store.tensors["p"]
         p.grad = np.array([0.5])
-        Adam([p], lr=0.1).step()
+        Adam(store, lr=0.1).step()
         # bias-corrected m/sqrt(v) equals sign(g) for the first step
         assert p.data[0] == pytest.approx(1.0 - 0.1, rel=1e-6)
 
     def test_zero_grad_no_motion(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        store = store_of(p=[1.0, -2.0])
+        p = store.tensors["p"]
         p.grad = np.zeros(2)
-        Adam([p]).step()
+        Adam(store).step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(7)
-            p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-            opt = Adam([p], lr=1e-2)
+            store = store_of(p=rng.normal(size=(3, 2)))
+            p = store.tensors["p"]
+            opt = Adam(store, lr=1e-2)
             for _ in range(10):
                 opt.zero_grad()
                 (p * p).sum().backward()
@@ -262,3 +299,50 @@ class TestAdam:
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @pytest.mark.parametrize("block_bytes", [64, 1 << 18])
+    def test_flat_matches_per_tensor_bits(self, monkeypatch, block_bytes):
+        # blocks of 8 values split every tensor; the default block splits "big"
+        monkeypatch.setattr(ad._kernels, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(11)
+        shapes = {"w": (5, 3), "big": (200, 180), "b": (7,), "gap": (4, 2),
+                  "zero": (3,), "negzero": (6,), "never": (2, 2), "one": (1,)}
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        init["negzero"][:3] = -0.0
+        store = store_of(**init)
+        opt = Adam(store, lr=3e-3)
+        ref = ReferenceAdam(list(init.values()), lr=3e-3)
+        for step in range(60):
+            scale = 10.0 ** rng.integers(-6, 4)
+            grads = {name: rng.normal(size=shape) * scale for name, shape in shapes.items()}
+            grads["gap"] = None if step % 3 else grads["gap"]  # missing, then present
+            grads["zero"] = np.zeros(3)
+            grads["negzero"] = np.where(rng.random(6) < 0.5, -0.0, grads["negzero"])
+            grads["never"] = None
+            for name, t in store.tensors.items():
+                t.grad = grads[name]
+            opt.step()
+            ref.step(list(grads.values()))
+        for (name, t), expected in zip(store.tensors.items(), ref.params):
+            np.testing.assert_array_equal(t.data.view(np.int64), expected.view(np.int64),
+                                          err_msg=name)
+            assert np.shares_memory(t.data, store.flat)
+        np.testing.assert_array_equal(store.tensors["never"].data, init["never"])
+
+    def test_grad_shape_checked(self):
+        store = store_of(p=np.zeros((2, 3)))
+        store.tensors["p"].grad = np.zeros((3, 2))
+        with pytest.raises(ShapeMismatch):
+            Adam(store).step()
+
+
+class TestParamStore:
+    def test_views_tile_the_flat_vector(self):
+        store = ParamStore([("a", (2, 3)), ("b", (4,)), ("empty", (0,)), ("c", (1, 1))])
+        assert store.flat.shape == (11,)
+        assert list(store.tensors) == ["a", "b", "empty", "c"]
+        store.flat[:] = np.arange(11.0)
+        np.testing.assert_array_equal(store.tensors["a"].data, [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(store.tensors["b"].data, [6, 7, 8, 9])
+        assert store.tensors["c"].data.shape == (1, 1) and store.tensors["c"].data[0, 0] == 10
+        assert all(t.requires_grad for t in store.tensors.values())

@@ -5,7 +5,6 @@ import pytest
 
 from mtlmolnet import cli
 from mtlmolnet import model as mdl
-from mtlmolnet.autodiff import Tensor
 from mtlmolnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mtlmolnet.config import TrainConfig
 from mtlmolnet.data import TaskSpec
@@ -43,6 +42,35 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
         np.testing.assert_array_equal(stats.phys_mean, stats2.phys_mean)
         np.testing.assert_array_equal(stats.qc_std, stats2.qc_std)
+
+    def test_loaded_tensors_are_views_of_one_vector(self, tmp_path):
+        cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(9)), SPECS)
+        loaded = load_checkpoint(path)[0]
+        np.testing.assert_array_equal(loaded.store.flat.view(np.int64),
+                                      params.store.flat.view(np.int64))
+        for name, t in loaded.named_tensors():
+            assert np.shares_memory(t.data, loaded.store.flat), name
+        for t in (loaded.encoder.w_in, loaded.heads[1].b2, loaded.weighting.log_beta):
+            assert np.shares_memory(t.data, loaded.store.flat)
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_retired_weighting_keys_load(self, tmp_path, value):
+        cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(10)), SPECS)
+        write_manifest(path, lambda m: {**m, "config": {
+            **m["config"], "uniform_weighting": value, "renormalize_weights": value}})
+        loaded, cfg2, _, _ = load_checkpoint(path)
+        assert cfg2.to_dict() == cfg.to_dict()
+        np.testing.assert_array_equal(loaded.store.flat, params.store.flat)
+        mols = tmp_path / "mols.txt"
+        mols.write_text("CCO\n")
+        assert cli.main(["predict", "--checkpoint", str(path), "--data", str(mols),
+                         "--out", str(tmp_path / "pred.csv")]) == 0
 
     def test_header_is_versioned(self, tmp_path):
         cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
@@ -181,9 +209,11 @@ class TestTensorShapes:
     def test_log_beta_shape_checked(self, tmp_path, capsys):
         cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
         params = mdl.init_model(cfg, n_tasks=2)
-        params.weighting.log_beta = Tensor(np.zeros(1), requires_grad=True)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(8)), SPECS)
+        # the store cannot hold a mis-shaped log_beta, so the file says it has one
+        write_manifest(path, lambda m: {**m, "tensors": [
+            {**e, "shape": [1]} if e["name"] == "log_beta" else e for e in m["tensors"]]})
         assert_refused(path, tmp_path, capsys, match=r"log_beta has shape \(1,\)")
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +83,43 @@ class TestTrainCommand:
         hist = (tmp_path / "runs" / "history_seed0.csv").read_text()
         epochs = {row.split(",")[0] for row in hist.splitlines()[1:]}
         assert epochs == {"0", "1"}
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("flags", [
+        ["--batch-size", "0"],
+        ["--hidden", "0"],
+        ["--ffn-hidden", "0"],
+        ["--epochs", "-1"],
+        ["--lr", "-1"],
+        ["--lr", "0"],
+        ["--lr", "nan"],
+        ["--lr", "inf"],
+        ["--dropout", "1.0"],
+        ["--dropout", "-0.1"],
+        ["--beta-min", "5", "--beta-max", "1"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_bad_value_exits_2(self, tmp_path, capsys, flags):
+        rc = cli.main(["train", *small_flags(tmp_path), *flags])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
+
+    @pytest.mark.parametrize("key", ["uniform_weights", "renormalize_weights"])
+    def test_retired_weighting_key_exits_2(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = true\n")
+        rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_diverging_run_exits_4(self, tmp_path, capsys):
+        rc = cli.main(["train", *small_flags(tmp_path), "--lr", "1e300"])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert re.match(r"error: epoch 0: \w+ produced \d+ non-finite value\(s\)", err[0])
 
 
 class TestPredictEval:
@@ -237,6 +275,24 @@ class TestPhysSource:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "at least two" in err[0]
+
+    def test_analyze_reads_no_descriptors(self, external, tmp_path, capsys):
+        flags, ckpt, phys, _ = external
+        data = Path(flags[flags.index("--data") + 1])
+        tasks = flags[flags.index("--tasks") + 1]
+        rows = data.read_text().splitlines()[1:]
+        val_smiles = next(row.split(",")[0] for row in rows if ",val" in row)
+        header, *lines = phys.read_text().splitlines()
+        lacking = tmp_path / "phys_lacking.csv"
+        lacking.write_text("\n".join([header] + [
+            line for line in lines if line.split(",")[0] != val_smiles]) + "\n")
+        out_dir = tmp_path / "analysis"
+        rc = cli.main(["analyze", "--history", str(ckpt.parent / "history_seed0.csv"),
+                       "--data", str(data), "--tasks", tasks, "--phys", str(lacking),
+                       "--checkpoint", str(ckpt), "--out", str(out_dir)])
+        assert rc == 0
+        embedded = [row[0] for row in csv.reader((out_dir / "embeddings.csv").open())]
+        assert val_smiles in embedded[1:]
 
     def test_builtin_checkpoint_refuses_external(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")

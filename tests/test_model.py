@@ -206,6 +206,39 @@ class TestForward:
             forward(b, params, bad_cfg)
 
 
+class TestParameterStore:
+    def test_layout_and_init_draws(self):
+        cfg = small_cfg(variant="multi-rdkit")
+        params = mdl.init_model(cfg, n_tasks=2, rng=np.random.default_rng(5))
+        assert [(n, t.data.shape) for n, t in params.named_tensors()] == cfg.param_shapes(2)
+        assert not params.weighting.log_beta.requires_grad
+        # Xavier-uniform draws of the 2-D weights in layout order; the rest 0
+        rng = np.random.default_rng(5)
+        for name, t in params.named_tensors():
+            if t.data.ndim == 2:
+                limit = np.sqrt(6.0 / sum(t.data.shape))
+                expected = rng.uniform(-limit, limit, size=t.data.shape)
+            else:
+                expected = np.zeros(t.data.shape)
+            np.testing.assert_array_equal(t.data.view(np.int64),
+                                          expected.view(np.int64), err_msg=name)
+
+    def test_load_data_writes_into_the_views(self):
+        cfg = small_cfg()
+        params = mdl.init_model(cfg, n_tasks=3)
+        tensors = [t for _, t in params.named_tensors()]
+        snapshot = params.clone_data()
+        assert not np.shares_memory(snapshot, params.store.flat)
+        params.store.flat[:] = 7.0
+        params.load_data(snapshot)
+        np.testing.assert_array_equal(params.store.flat.view(np.int64),
+                                      snapshot.view(np.int64))
+        for (name, t), before in zip(params.named_tensors(), tensors):
+            assert t is before and np.shares_memory(t.data, params.store.flat), name
+        for t in (params.encoder.w_msg, params.heads[2].w1, params.weighting.log_beta):
+            assert np.shares_memory(t.data, params.store.flat)
+
+
 def relative_err(a, b):
     scale = np.maximum(np.abs(a), np.abs(b))
     diff = np.abs(a - b)
