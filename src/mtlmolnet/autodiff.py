@@ -269,27 +269,6 @@ def tensor_sum(x, axis=None):
     return _make(data, "sum", (x,), backward_fn)
 
 
-def tensor_mean(x, axis=None):
-    x = _lift(x)
-    if axis is not None and not (-x.data.ndim <= axis < x.data.ndim):
-        raise ShapeMismatch(f"mean: axis {axis} out of range for shape {x.data.shape}")
-    n = x.data.size if axis is None else x.data.shape[axis]
-    if n == 0:
-        raise ShapeMismatch("mean over empty axis")
-    data = x.data.sum(axis=axis) / n
-    x_req = x.requires_grad
-    x_shape = x.data.shape
-
-    def backward_fn(g):
-        if not x_req:
-            return (None,)
-        if axis is None:
-            return (np.broadcast_to(g / n, x_shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), x_shape).copy(),)
-
-    return _make(data, "mean", (x,), backward_fn)
-
-
 def concat(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
     if not tensors:
@@ -371,10 +350,16 @@ def relu(x):
     return _make(data, "relu", (x,), backward_fn)
 
 
+def _logistic(xd):
+    """(1 / (1 + e^-x), e^-|x|) for an array, in the overflow-safe form that
+    divides by 1 + e^-|x| on both sides of 0."""
+    e = np.exp(-np.abs(xd))
+    return np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), e
+
+
 def sigmoid(x):
     x = _lift(x)
-    xd = x.data
-    data = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    data = _logistic(x.data)[0]
     x_req = x.requires_grad
 
     def backward_fn(g):
@@ -386,41 +371,14 @@ def sigmoid(x):
 def softplus(x):
     """ln(1 + e^x) in the overflow-safe form max(x, 0) + log1p(e^-|x|)."""
     x = _lift(x)
-    xd = x.data
-    data = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
+    sig, e = _logistic(x.data)
+    data = np.maximum(x.data, 0.0) + np.log1p(e)
     x_req = x.requires_grad
-    sig = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
 
     def backward_fn(g):
         return (g * sig if x_req else None,)
 
     return _make(data, "softplus", (x,), backward_fn)
-
-
-def exp(x):
-    x = _lift(x)
-    with np.errstate(over="ignore"):  # overflow becomes inf, caught below
-        data = np.exp(x.data)
-    x_req = x.requires_grad
-
-    def backward_fn(g):
-        return (g * data if x_req else None,)
-
-    return _make(data, "exp", (x,), backward_fn)
-
-
-def log(x):
-    x = _lift(x)
-    if np.any(x.data <= 0):
-        raise DomainError("log requires strictly positive input")
-    data = np.log(x.data)
-    x_req = x.requires_grad
-    xd = x.data
-
-    def backward_fn(g):
-        return (g / xd if x_req else None,)
-
-    return _make(data, "log", (x,), backward_fn)
 
 
 def pow_elem(base, exponent):
@@ -477,6 +435,9 @@ class ParamStore:
                         for (name, shape), size, end in zip(shapes, sizes, ends)}
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 class Adam:
     """Adam with bias correction, in place over the flat vector of a
     ParamStore; a missing grad counts as zero. The moments ``m``/``v`` and
@@ -484,16 +445,16 @@ class Adam:
     Adam's elementwise arithmetic in the same order, so the bits are the
     same, in blocks of ``_kernels._BLOCK_BYTES`` that stay in cache."""
 
-    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, lr=1e-3):
         self.params = list(store.tensors.values())
         self.flat = store.flat
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m, self.v, self._grad = (np.zeros_like(self.flat) for _ in range(3))
         self.t = 0
         self._scratch = np.zeros((2, _kernels._BLOCK_BYTES // 8))
 
     def step(self):
-        beta1, beta2 = self.beta1, self.beta2
+        beta1, beta2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         c1 = 1.0 - beta1 ** self.t
         c2 = 1.0 - beta2 ** self.t
@@ -517,7 +478,7 @@ class Adam:
             v += a
             np.divide(v, c2, out=a)  # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += ADAM_EPS
             np.divide(m, c1, out=b)
             b *= self.lr
             b /= a

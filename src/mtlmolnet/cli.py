@@ -8,6 +8,7 @@ diagnostics go to stderr. Exit codes: 2 config error, 3 data error,
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -56,6 +57,23 @@ def _csv_writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+@contextlib.contextmanager
+def _output(path):
+    """A CSV writer on the file ``path``, or on stdout when no path is given."""
+    if not path:
+        yield _csv_writer(sys.stdout)
+        return
+    with open(path, "w", newline="") as fh:
+        yield _csv_writer(fh)
+
+
+def _out_dir(path):
+    """The output directory ``path``, ``runs`` when none is given; created."""
+    out_dir = Path(path or "runs")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def read_config_file(path):
     """Parse a ``key = value`` file; '#' starts a comment."""
     values = {}
@@ -101,7 +119,7 @@ def build_parser():
         p.add_argument("--tasks", help="task spec JSON file")
         p.add_argument("--phys", help="external 200-dim descriptor CSV")
         p.add_argument("--qc", help="quantum descriptor CSV")
-        p.add_argument("--out", default="runs", help="output directory")
+        p.add_argument("--out", help="output directory (default runs)")
         if with_training:
             p.add_argument("--variant", choices=VARIANTS, default=None)
             p.add_argument("--seeds", default=None,
@@ -149,7 +167,7 @@ def build_parser():
                            help="rows to embed (default val)")
     p_analyze.add_argument("--phys", help="external 200-dim descriptor CSV (checked, not read)")
     p_analyze.add_argument("--qc", help="quantum descriptor CSV (not read)")
-    p_analyze.add_argument("--out", default="runs", help="output directory")
+    p_analyze.add_argument("--out", help="output directory (default runs)")
 
     return parser
 
@@ -261,8 +279,7 @@ def _train_one(table, specs, cfg, seed, out_dir):
 def cmd_train(args):
     cfg, seeds, paths = merge_config(args)
     table, specs = _load_table(cfg, paths)
-    out_dir = Path(paths.get("out") or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(paths["out"])
 
     runs = []
     for seed in seeds:
@@ -292,8 +309,7 @@ def cmd_ablate(args):
     cfg, seeds, paths = merge_config(args)
     if not paths.get("qc"):
         raise ConfigError("ablate trains qc variants: pass --qc")
-    out_dir = Path(paths.get("out") or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(paths["out"])
 
     table, specs = _load_table(TrainConfig(**{**cfg.to_dict(), "variant": "qw-mtl"}),
                                paths)
@@ -338,42 +354,45 @@ def _read_molecule_file(path):
     return [line.strip() for line in lines[start:] if line.strip()]
 
 
-def _check_phys_source(stats, phys_path):
-    """Refuse to standardize phys blocks with statistics of the other source."""
-    source = feat.phys_source(phys_path)
+def _load_serving(args):
+    """The checkpoint ``args.checkpoint`` as (params, cfg, stats, specs),
+    refused when its descriptor statistics were fitted on the other phys
+    source than ``args.phys``."""
+    params, cfg, stats, specs = load_checkpoint(args.checkpoint)
+    source = feat.phys_source(args.phys)
     if stats.phys_source != source:
         raise CheckpointMismatch(
             f"checkpoint statistics were fitted on {stats.phys_source} phys descriptors "
             f"but this run uses {source} ones; pass --phys exactly when training did"
         )
+    return params, cfg, stats, specs
+
+
+def _prepare_request(args, cfg, stats):
+    """The molecules of ``args.data`` as (smiles, pack, standardized
+    descriptor matrix)."""
+    mols = _read_molecule_file(args.data)
+    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
+    return mols, pack, feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
 
 
 def cmd_predict(args):
-    params, cfg, stats, specs = load_checkpoint(args.checkpoint)
-    mols = _read_molecule_file(args.data)
-    _check_phys_source(stats, args.phys)
-    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
-    features = feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
+    params, cfg, stats, specs = _load_serving(args)
+    mols, pack, features = _prepare_request(args, cfg, stats)
     probs = mdl.predict_rows(pack, np.arange(len(mols)), features, params)
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = _csv_writer(dest)
+    with _output(args.out) as writer:
         writer.writerow(["smiles"] + [s.name for s in specs])
         for smi, row in zip(mols, probs):
             writer.writerow([smi] + [repr(float(v)) for v in row])
-    finally:
-        if args.out:
-            dest.close()
     return 0
 
 
 def cmd_eval(args):
-    params, cfg, stats, specs = load_checkpoint(args.checkpoint)
+    params, cfg, stats, specs = _load_serving(args)
     if args.tasks:
         specs = dat.load_task_specs(args.tasks)
     if cfg.use_qc and not args.qc:
         raise ConfigError(f"variant {cfg.variant} needs quantum descriptors: pass --qc")
-    _check_phys_source(stats, args.phys)
     table = dat.load_dataset(args.data, specs)
     dat.prepare_table(table, phys_path=args.phys, qc_path=args.qc)
 
@@ -382,9 +401,7 @@ def cmd_eval(args):
         raise NoTestData("dataset has no test-tagged labels")
     scores = mdl.evaluate_split(table, params, cfg, "test", stats)
 
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = _csv_writer(dest)
+    with _output(args.out) as writer:
         writer.writerow(["task", "metric", "value"])
         for spec in specs:
             value = scores.get(spec.name)
@@ -394,9 +411,6 @@ def cmd_eval(args):
                 writer.writerow([spec.name, spec.metric, "N/A"])
             else:
                 writer.writerow([spec.name, spec.metric, repr(float(value))])
-    finally:
-        if args.out:
-            dest.close()
     return 0
 
 
@@ -425,11 +439,8 @@ def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
 
 
 def cmd_bench(args):
-    params, cfg, stats, specs = load_checkpoint(args.checkpoint)
-    mols = _read_molecule_file(args.data)
-    _check_phys_source(stats, args.phys)
-    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
-    features = feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
+    params, cfg, stats, specs = _load_serving(args)
+    mols, pack, features = _prepare_request(args, cfg, stats)
     rows = np.arange(len(mols))
     t_single = args.t_single
     reps = max(args.reps, 3)
@@ -496,16 +507,14 @@ def cmd_analyze(args):
     if args.checkpoint:
         # refuse a checkpoint, a split too small for the PCA or a bad
         # molecule before any output is written
-        params, cfg, stats, _ = load_checkpoint(args.checkpoint)
-        _check_phys_source(stats, args.phys)
+        params = _load_serving(args)[0]
         view = dat.select_split(table, args.split)
         if len(view) < 2:
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
                                    "the PCA needs at least two")
         mols = [table.smiles[r] for r in view.rows]
         pack = enc.pack_graphs(dat.parse_molecules(mols), featurize=True)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     last_epoch = max(row["epoch"] for row in history)
     beta_by_task = {row["task"]: row["beta_eff"] for row in history
@@ -529,10 +538,7 @@ def cmd_analyze(args):
         print(f"warning: correlation omitted: {err}", file=sys.stderr)
 
     if args.checkpoint:
-        fps = np.concatenate([
-            enc.encode_batch([pack.graphs[r] for r in chunk], params.encoder,
-                             union=pack.gather(chunk)).data
-            for chunk in np.split(np.arange(len(mols)), range(200, len(mols), 200))])
+        fps = mdl.embed_rows(pack, np.arange(len(mols)), params.encoder)
         with open(out_dir / "embeddings.csv", "w", newline="") as fh:
             writer = _csv_writer(fh)
             writer.writerow(["smiles"] + [f"e{i}" for i in range(fps.shape[1])])
@@ -575,7 +581,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a non-finite result fails as a typed error at the op that made
+        # it, so numpy's own warnings about it would only repeat that error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as err:
         _err(str(err))
         return EXIT_CONFIG

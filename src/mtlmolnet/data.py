@@ -248,8 +248,8 @@ def select_split(table, split):
 def make_batches(view, batch_size, rng, features=None):
     """Shuffled batches over a split view; the trailing partial batch kept.
 
-    ``rng`` is a numpy Generator or an int seed; passing the same seed (or
-    a generator in the same state) reproduces the exact batch sequence.
+    ``rng`` is a numpy Generator; one in the same state reproduces the
+    exact batch sequence.
     The order is drawn here and the batches are made as they are iterated,
     so only one batch's gathered arrays are alive at a time. Each batch's
     disjoint union is gathered from the table's pack. ``features`` is the
@@ -260,8 +260,6 @@ def make_batches(view, batch_size, rng, features=None):
         raise EmptyDataset(f"split {view.split!r} selects no rows")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     order = rng.permutation(len(view))
     if view.table.pack is None or view.table.blocks is None:
         raise DatasetError("table not prepared; call prepare_table first")

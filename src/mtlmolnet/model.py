@@ -13,7 +13,8 @@ would drive all weights to zero, minimizing the total loss trivially.
 
 With uniform weighting, w_t is 1 for every task present in the batch.
 A model's parameters are views into one ``ParamStore`` vector, so the best
-epoch's snapshot is one copy of it.
+epoch's snapshot is one copy of it. Training's ``forward`` and serving's
+``predict_rows`` run one encode -> fuse -> heads body.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ from . import encoder as enc
 from . import features as feat
 from . import metrics as met
 from .autodiff import Tensor
+
+
+CHUNK = 200  # molecules per encoder pass when scoring or embedding
 
 
 class EmptyBatchLabels(ValueError):
@@ -179,21 +183,31 @@ def head_logits(x, heads):
     return ad.concat(cols, axis=1)
 
 
+def _head_inputs(params, features):
+    """(inputs the heads expect, inputs the fingerprint and ``features``
+    provide)."""
+    return (params.heads[0].w1.data.shape[0],
+            params.encoder.w_out.data.shape[1] + features.shape[1])
+
+
+def _fused_logits(graphs, union, features, params, dropout, rng):
+    """Encode the graphs, fuse the fingerprint with their standardized
+    descriptor rows and run the heads; the body of training's ``forward``
+    and of ``predict_rows``."""
+    z = enc.encode_batch(graphs, params.encoder, dropout=dropout, rng=rng, union=union)
+    return head_logits(ad.concat([z, Tensor(features)], axis=1), params.heads)
+
+
 def forward(batch, params, cfg, rng=None):
     """Logits [B x T]; every head evaluates every molecule (validity only
     affects the loss)."""
-    z = enc.encode_batch(batch.graphs, params.encoder,
-                         dropout=cfg.dropout, rng=rng, union=batch.union)
     feats = batch.features
     if feats is None:
         feats = feat.feature_matrix(batch.feature_blocks, use_qc=cfg.use_qc)
-    x = ad.concat([z, Tensor(feats)], axis=1)
-    if x.data.shape[1] != params.heads[0].w1.data.shape[0]:
-        raise ad.ShapeMismatch(
-            f"fused dim {x.data.shape[1]} does not match head input "
-            f"{params.heads[0].w1.data.shape[0]}"
-        )
-    return head_logits(x, params.heads)
+    expect, fused = _head_inputs(params, feats)
+    if fused != expect:
+        raise ad.ShapeMismatch(f"fused dim {fused} does not match head input {expect}")
+    return _fused_logits(batch.graphs, batch.union, feats, params, cfg.dropout, rng)
 
 
 def batch_loss(batch, params, cfg, rng=None):
@@ -299,32 +313,39 @@ def train(table, cfg, progress=None):
                        stats=stats)
 
 
-def predict_blocks(graphs, blocks, params, cfg, batch_size=200):
+def predict_blocks(graphs, blocks, params, cfg):
     """Probabilities [N x T] for featurized graphs and their standardized
     blocks; ``predict_rows`` on a pack of the graphs."""
     return predict_rows(enc.pack_graphs(graphs), np.arange(len(graphs)),
-                        feat.feature_matrix(blocks, use_qc=cfg.use_qc),
-                        params, batch_size)
+                        feat.feature_matrix(blocks, use_qc=cfg.use_qc), params)
 
 
-def predict_rows(pack, rows, features, params, batch_size=200):
+def _chunks(pack, rows):
+    """(graphs, UnionGraph, slice of ``rows``) of ``pack`` for each run of
+    at most ``CHUNK`` of ``rows``."""
+    for start in range(0, len(rows), CHUNK):
+        part = slice(start, start + CHUNK)
+        yield [pack.graphs[r] for r in rows[part]], pack.gather(rows[part]), part
+
+
+def predict_rows(pack, rows, features, params):
     """Probabilities for the graphs of ``pack`` at ``rows``, whose
     standardized descriptor rows are ``features``."""
     if len(params.heads) == 0:
         raise CheckpointMismatch("model has no task heads")
-    probs = []
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
-        z = enc.encode_batch([pack.graphs[r] for r in chunk], params.encoder,
-                             union=pack.gather(chunk))
-        x = ad.concat([z, Tensor(features[start:start + batch_size])], axis=1)
-        if x.data.shape[1] != params.heads[0].w1.data.shape[0]:
-            raise CheckpointMismatch(
-                f"checkpoint heads expect {params.heads[0].w1.data.shape[0]} "
-                f"inputs, features provide {x.data.shape[1]}"
-            )
-        probs.append(ad.sigmoid(head_logits(x, params.heads)).data)
-    return np.concatenate(probs, axis=0)
+    expect, fused = _head_inputs(params, features)
+    if fused != expect:
+        raise CheckpointMismatch(
+            f"checkpoint heads expect {expect} inputs, features provide {fused}")
+    return np.concatenate([
+        ad.sigmoid(_fused_logits(graphs, union, features[part], params, 0.0, None)).data
+        for graphs, union, part in _chunks(pack, rows)])
+
+
+def embed_rows(pack, rows, encoder):
+    """Fingerprints [len(rows) x H] of the graphs of ``pack`` at ``rows``."""
+    return np.concatenate([enc.encode_batch(graphs, encoder, union=union).data
+                           for graphs, union, _ in _chunks(pack, rows)])
 
 
 def evaluate_split(table, params, cfg, split, stats):

@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +86,18 @@ class TestTrainCommand:
         epochs = {row.split(",")[0] for row in hist.splitlines()[1:]}
         assert epochs == {"0", "1"}
 
+    def test_config_file_out_with_flag_override(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("out = elsewhere\n")
+        parser = cli.build_parser()
+        _, _, paths = cli.merge_config(parser.parse_args(["train", "--config", str(cfgfile)]))
+        assert paths["out"] == "elsewhere"
+        _, _, paths = cli.merge_config(parser.parse_args(
+            ["train", "--config", str(cfgfile), "--out", "flagged"]))
+        assert paths["out"] == "flagged"
+        _, _, paths = cli.merge_config(parser.parse_args(["train"]))
+        assert paths["out"] is None  # cmd_train writes to runs then
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("flags", [
@@ -120,6 +134,19 @@ class TestConfigValues:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert re.match(r"error: epoch 0: \w+ produced \d+ non-finite value\(s\)", err[0])
+
+    def test_diverging_run_prints_only_the_error(self, tmp_path):
+        # numpy's overflow warnings reach a real stderr, which capsys
+        # does not stand in for, so run the command in its own process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mtlmolnet.cli", "train", *small_flags(tmp_path),
+             "--lr", "1e300"], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_NUMERIC
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epoch 0: "), proc.stderr
 
 
 class TestPredictEval:

@@ -4,10 +4,10 @@ import pytest
 from mtlmolnet import data as dat
 from mtlmolnet import model as mdl
 from mtlmolnet import smiles
-from mtlmolnet.autodiff import Tensor
+from mtlmolnet.autodiff import Tensor, sigmoid
 from mtlmolnet.config import TrainConfig
 from mtlmolnet.data import Batch, TaskSpec
-from mtlmolnet.features import FeatureBlock
+from mtlmolnet.features import FeatureBlock, feature_matrix
 from mtlmolnet.model import (
     EmptyBatchLabels,
     WeightingState,
@@ -392,6 +392,21 @@ class TestPredict:
         b = make_batch(["CCO", "CC"], labels=np.zeros((2, 3)), valid=np.ones((2, 3)))
         probs = mdl.predict_blocks(b.graphs, b.feature_blocks, params, cfg)
         np.testing.assert_array_equal(probs, np.full((2, 3), 0.5))
+
+    def test_serving_equals_training_forward(self, tmp_path):
+        # predict_rows and forward share one encode -> fuse -> heads body:
+        # on the same gathered rows they give the same bits
+        table = dat.prepare_table(toy_table(tmp_path))
+        cfg = small_cfg(epochs=1)
+        result = train(table, cfg)
+        features = feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=result.stats)
+        view = dat.select_split(table, "train")
+        batches = dat.make_batches(view, 7, np.random.default_rng(3), features=features)
+        for batch in batches:
+            served = mdl.predict_rows(table.pack, batch.row_indices,
+                                      features[batch.row_indices], result.params)
+            trained = sigmoid(forward(batch, result.params, cfg)).data
+            assert served.view(np.int64).tolist() == trained.view(np.int64).tolist()
 
     def test_predict_deterministic(self, tmp_path):
         table = toy_table(tmp_path)
