@@ -342,10 +342,9 @@ def relu(x):
     x = _lift(x)
     data = np.maximum(x.data, 0.0)
     x_req = x.requires_grad
-    mask = x.data > 0
 
     def backward_fn(g):
-        return (g * mask if x_req else None,)
+        return (g * (data > 0) if x_req else None,)
 
     return _make(data, "relu", (x,), backward_fn)
 

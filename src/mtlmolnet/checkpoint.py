@@ -10,10 +10,15 @@ manifest also records the built-in descriptor names and the phys source
 a checkpoint whose names differ from this build's, or that records either
 one not at all, is refused, since its statistics would standardize the
 wrong columns without any error. A malformed manifest is refused as well.
-Loading builds a zero model of the recorded config's parameter layout and
-copies each named tensor into its view, refusing a missing or mis-shaped one.
+Loading builds a zero model of the recorded config's parameter layout.
+When the tensor directory is that layout's own, as in every file
+``save_checkpoint`` writes, the parameters are read from the file straight
+into the model's flat store; otherwise each named tensor is copied into its
+view, refusing a missing or mis-shaped one. A tensor that would end past the
+file's end is refused as truncated before any is read.
 """
 
+import io
 import json
 import math
 
@@ -31,11 +36,7 @@ _STATS_DIMS = {"phys_mean": feat.PHYS_DIM, "phys_std": feat.PHYS_DIM,
 def save_checkpoint(path, params, cfg, stats, task_specs):
     tensors = [(name, t.data) for name, t in params.named_tensors()]
     tensors += [(f"stats.{key}", getattr(stats, key)) for key in _STATS_DIMS]
-    directory, blobs, offset = [], [], 0
-    for name, arr in tensors:
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        offset += len(blobs[-1])
+    directory = _directory([(name, arr.shape) for name, arr in tensors])
     manifest = {
         "config": cfg.to_dict(),
         "tasks": [
@@ -50,8 +51,18 @@ def save_checkpoint(path, params, cfg, stats, task_specs):
     with open(path, "wb") as fh:
         fh.write(MAGIC.encode() + b"\n")
         fh.write(json.dumps(manifest).encode() + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for _, arr in tensors:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _directory(shapes):
+    """The tensor directory of a blob that holds float64 tensors of these
+    ``(name, shape)`` pairs back to back."""
+    directory, offset = [], 0
+    for name, shape in shapes:
+        directory.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return directory
 
 
 def _read_manifest(path, line):
@@ -81,14 +92,22 @@ def _is_count(value):
 
 def load_checkpoint(path):
     """Returns (params, cfg, stats, task_specs)."""
+    with open(path, "rb") as fh:
+        # the tensor directory is checked against the file's size, which a
+        # pipe cannot tell before it is read
+        return _load(path, fh if fh.seekable() else io.BytesIO(fh.read()))
+
+
+def _load(path, fh):
     from .data import TaskSpec
 
-    with open(path, "rb") as fh:
-        header = fh.readline().rstrip(b"\n")
-        if header.decode(errors="replace") != MAGIC:
-            raise CheckpointMismatch(f"{path}: bad header {header!r}, expected {MAGIC}")
-        manifest = _read_manifest(path, fh.readline())
-        blob = fh.read()
+    header = fh.readline().rstrip(b"\n")
+    if header.decode(errors="replace") != MAGIC:
+        raise CheckpointMismatch(f"{path}: bad header {header!r}, expected {MAGIC}")
+    manifest = _read_manifest(path, fh.readline())
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start  # bytes of the blob
+    fh.seek(start)
 
     descriptors = manifest.get("descriptors")
     if descriptors != list(feat.BUILTIN_DESCRIPTOR_NAMES):
@@ -105,23 +124,34 @@ def load_checkpoint(path):
             f"{', '.join(feat.PHYS_SOURCES)}; retrain the checkpoint"
         )
 
-    arrays = {}
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        try:
-            arr = np.frombuffer(blob, dtype="<f8", count=math.prod(shape),
-                                offset=entry["offset"])
-        except ValueError:
-            raise CheckpointMismatch(
-                f"{path}: truncated tensor {entry['name']}"
-            ) from None
-        arrays[entry["name"]] = arr.reshape(shape)
+        if entry["offset"] + 8 * math.prod(entry["shape"]) > size:
+            raise CheckpointMismatch(f"{path}: truncated tensor {entry['name']}")
 
     try:
         cfg = TrainConfig.from_dict(manifest["config"])
         task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
     except (TypeError, ValueError) as err:
         raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
+
+    params = zero_model(cfg, len(task_specs))
+    flat = params.store.flat
+    shapes = [(name, t.data.shape) for name, t in params.named_tensors()]
+    shapes += [(f"stats.{key}", (dim,)) for key, dim in _STATS_DIMS.items()]
+    # true of every file save_checkpoint writes: on a little-endian host the
+    # parameters are read straight into the store, and only the statistics
+    # into the blob buffer
+    direct = manifest["tensors"] == _directory(shapes) and flat.dtype == np.dtype("<f8")
+    skip = flat.nbytes if direct else 0
+    if direct:
+        fh.readinto(flat)
+    blob = np.empty(size - skip, dtype=np.uint8)
+    fh.readinto(blob)
+    arrays = {
+        entry["name"]: np.frombuffer(blob, dtype="<f8", count=math.prod(entry["shape"]),
+                                     offset=entry["offset"] - skip).reshape(entry["shape"])
+        for entry in manifest["tensors"] if entry["offset"] >= skip
+    }
 
     def take(name, shape):
         if name not in arrays:
@@ -133,9 +163,9 @@ def load_checkpoint(path):
             )
         return arr
 
-    params = zero_model(cfg, len(task_specs))
-    for name, t in params.named_tensors():
-        t.data[...] = take(name, t.data.shape)
+    if not direct:
+        for name, t in params.named_tensors():
+            t.data[...] = take(name, t.data.shape)
     stats = feat.FeatureStats(**{key: take(f"stats.{key}", (dim,)).copy()
                                  for key, dim in _STATS_DIMS.items()},
                               phys_source=phys_source)

@@ -141,7 +141,8 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="score a checkpoint on the test split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--tasks", help="task spec JSON (default: from checkpoint)")
+    p_eval.add_argument("--tasks", help="task spec JSON naming the checkpoint's tasks in "
+                        "order, for other label/split columns (default: from checkpoint)")
     p_eval.add_argument("--phys", help="external 200-dim descriptor CSV")
     p_eval.add_argument("--qc", help="quantum descriptor CSV")
     p_eval.add_argument("--out", default=None, help="output CSV (default stdout)")
@@ -390,7 +391,14 @@ def cmd_predict(args):
 def cmd_eval(args):
     params, cfg, stats, specs = _load_serving(args)
     if args.tasks:
+        heads = [s.name for s in specs]
         specs = dat.load_task_specs(args.tasks)
+        names = [s.name for s in specs]
+        if names != heads:
+            raise CheckpointMismatch(
+                f"{args.tasks}: tasks ({', '.join(names)}) do not match the checkpoint's "
+                f"heads ({', '.join(heads)}), in count, names or order"
+            )
     if cfg.use_qc and not args.qc:
         raise ConfigError(f"variant {cfg.variant} needs quantum descriptors: pass --qc")
     table = dat.load_dataset(args.data, specs)

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +73,22 @@ class TestCheckpoint:
         mols.write_text("CCO\n")
         assert cli.main(["predict", "--checkpoint", str(path), "--data", str(mols),
                          "--out", str(tmp_path / "pred.csv")]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_loads_from_a_pipe(self, tmp_path):
+        cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(11)), SPECS)
+        pipe = tmp_path / "pipe.ckpt"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        loaded = load_checkpoint(pipe)[0]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(loaded.store.flat, params.store.flat)
 
     def test_header_is_versioned(self, tmp_path):
         cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import re
 import subprocess
@@ -201,6 +202,49 @@ class TestPredictEval:
         for row in rows[1:]:
             if row[2] != "N/A":
                 assert 0.0 <= float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("kept", [[0, 1, 2, 3], [0, 1], [1, 0, 2], [0, 1, 3]],
+                             ids=["more", "fewer", "reordered", "renamed"])
+    def test_eval_tasks_must_match_the_heads(self, tmp_path, capsys, kept):
+        # the data holds four tasks, the checkpoint has heads for the first three
+        data, tasks = tmp_path / "data.csv", tmp_path / "tasks.json"
+        names = synth.write_multitask_csv(data, [40, 40, 40, 40], seed=3, test_every=4)
+        synth.write_tasks_file(tasks, names[:3])
+        assert cli.main(["train", "--data", str(data), "--tasks", str(tasks),
+                         "--out", str(tmp_path / "runs"), "--variant", "multi-rdkit",
+                         "--epochs", "1", "--seeds", "0", "--hidden", "8",
+                         "--ffn-hidden", "8", "--depth", "2"]) == 0
+        eval_tasks = synth.write_tasks_file(tmp_path / "eval_tasks.json",
+                                            [names[i] for i in kept])
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "runs" / "model_seed0.ckpt"),
+                       "--data", str(data), "--tasks", str(eval_tasks)])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "do not match the checkpoint's heads (task0, task1, task2)" in err[0]
+
+    def test_eval_tasks_may_name_other_columns(self, trained, tmp_path, capsys):
+        run_dir, flags = trained
+        ckpt = run_dir / "runs" / "model_seed0.ckpt"
+        data = flags[flags.index("--data") + 1]
+        qc = flags[flags.index("--qc") + 1]
+        base = ["eval", "--checkpoint", str(ckpt), "--data", data, "--qc", qc]
+        assert cli.main(base) == 0
+        default = capsys.readouterr().out
+        # same heads, columns swapped: each head is scored on the other's labels
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps([
+            {"name": "task0", "metric": "AUROC", "label_column": "task1",
+             "split_column": "task1_split"},
+            {"name": "task1", "metric": "AUROC", "label_column": "task0",
+             "split_column": "task0_split"}]))
+        assert cli.main([*base, "--tasks", str(swapped)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [r[0] for r in rows[1:]] == ["task0", "task1"]
+        assert rows != list(csv.reader(default.splitlines()))
 
     def test_eval_no_test_data(self, trained, tmp_path, capsys):
         run_dir, flags = trained
