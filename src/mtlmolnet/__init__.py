@@ -28,7 +28,7 @@ M_TRIM_THRESHOLD, M_MMAP_MAX = -1, -4  # mallopt parameters of glibc's malloc.h
 # 200 molecules of 40 atoms, which then still made 6,500 faults per call.
 MMAP_MAX = 0
 # Free heap top kept before trimming. That 40-atom model.CHUNK pass peaks
-# at 740 MB of heap; one over 200 molecules of 10-40 atoms at 460 MB.
+# at 280 MB of traced heap; one over 200 molecules of 10-40 atoms at 170 MB.
 TRIM_THRESHOLD = 1 << 30
 
 

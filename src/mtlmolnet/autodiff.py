@@ -5,7 +5,8 @@ when an input tracks gradients, records a backward closure on the implicit
 tape (the operation graph). ``Tensor.backward()`` walks the graph once in
 reverse topological order and accumulates gradients into every
 ``requires_grad`` leaf. Operations whose inputs all have
-``requires_grad=False`` record nothing.
+``requires_grad=False`` record nothing, nor does any operation run under
+``no_grad()``, as scoring and embedding do.
 
 Every forward result is checked for NaN/Inf so numerical blowups fail at
 the op that produced them rather than corrupting a training run.
@@ -20,6 +21,7 @@ whose reshaped views are the leaf Tensors' ``data``. ``Adam`` runs in place
 over that vector, with its moments and the gathered gradients flat too.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -103,22 +105,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return tensor_sum(self, axis)
@@ -156,11 +146,27 @@ def _check_finite(data, op, parents):
         )
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, operations record no parents and no backward
+    closure, so each intermediate array is freed as soon as nothing else
+    holds it. Recording resumes when the block ends, also by an error."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(data, op, parents, backward_fn):
     data = np.asarray(data, dtype=np.float64)
     _check_finite(data, op, parents)
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

@@ -101,7 +101,7 @@ def _default_seed():
 
 # the TrainConfig fields that flags and config files set; seeds set the seed
 _TRAIN_KEYS = ("variant", "epochs", "batch_size", "lr", "hidden", "depth", "ffn_hidden",
-               "beta_min", "beta_max", "dropout")
+               "beta_min", "beta_max")
 _CONFIG_KEYS = {**{key: TrainConfig.__dataclass_fields__[key].type for key in _TRAIN_KEYS},
                 **dict.fromkeys(("seeds", "data", "tasks", "phys", "qc", "out"), str)}
 

@@ -40,7 +40,6 @@ class TrainConfig:
     ffn_hidden: int = 300
     beta_min: float = 0.1
     beta_max: float = 6.0
-    dropout: float = 0.0
     atom_dim: int = smiles.ATOM_FEATURE_DIM
     bond_dim: int = smiles.BOND_FEATURE_DIM
 
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.beta_min > self.beta_max:
             raise ValueError(f"beta_min {self.beta_min} exceeds beta_max {self.beta_max}")
 

@@ -137,7 +137,8 @@ def load_dataset(path, specs):
         labels_rows = []
         splits_rows = []
         folds = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             labels = np.full(len(specs), -1, dtype=np.int64)
             splits = np.full(len(specs), -1, dtype=np.int64)
             for t, spec in enumerate(specs):

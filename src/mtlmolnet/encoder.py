@@ -185,7 +185,7 @@ def pack_graphs(graphs, featurize=False):
     return pack
 
 
-def encode_batch(graphs, params, dropout=0.0, rng=None, union=None):
+def encode_batch(graphs, params, union=None):
     """Encode a list of featurized MolGraphs into a [B x H] Tensor.
 
     ``union`` is the graphs' UnionGraph gathered from a GraphPack that
@@ -218,24 +218,13 @@ def encode_batch(graphs, params, dropout=0.0, rng=None, union=None):
         incoming = ad.scatter_add(h, dst, n_atoms_total)
         msg = ad.sub(ad.index_select(incoming, src), ad.index_select(h, rev))
         h = ad.relu(ad.add(h0, ad.matmul(msg, params.w_msg)))
-        h = _maybe_dropout(h, dropout, rng)
 
     pooled_edges = ad.scatter_add(h, dst, n_atoms_total)
     readout_in = ad.concat([Tensor(atom_feats), pooled_edges], axis=1)
     atom_h = ad.relu(ad.matmul(readout_in, params.w_out))
-    atom_h = _maybe_dropout(atom_h, dropout, rng)
 
     mol_sum = ad.scatter_add(atom_h, union.mol_of_atom, len(union.inv_atoms))
     return ad.mul(mol_sum, Tensor(union.inv_atoms))
-
-
-def _maybe_dropout(x, p, rng):
-    if p <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout requires an rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return ad.mul(x, Tensor(mask))
 
 
 def encode(g, params):

@@ -181,12 +181,13 @@ def builtin_phys_block(g):
 
 
 def _read_csv_rows(path):
+    """(header, [(line number, row)]) of a CSV file's non-blank rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise MalformedRow(f"{path}: empty file")
-    return rows[0], rows[1:]
+    return rows[0][1], rows[1:]
 
 
 def load_qc_descriptors(path, molecules):
@@ -201,7 +202,7 @@ def load_qc_descriptors(path, molecules):
         raise MalformedRow(f"{path}: header must be {','.join(expected)}")
 
     table = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != 5:
             raise MalformedRow(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
         smi = row[0]
@@ -243,7 +244,7 @@ def load_external_phys(path, molecules):
             f"({PHYS_DIM + 1} columns), got {len(header)}"
         )
     table = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != PHYS_DIM + 1:
             raise WrongColumnCount(f"{path}:{lineno}: expected {PHYS_DIM + 1} fields")
         smi = row[0]

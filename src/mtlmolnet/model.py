@@ -14,7 +14,7 @@ would drive all weights to zero, minimizing the total loss trivially.
 With uniform weighting, w_t is 1 for every task present in the batch.
 A model's parameters are views into one ``ParamStore`` vector, so the best
 epoch's snapshot is one copy of it. Training's ``forward`` and serving's
-``predict_rows`` run one encode -> fuse -> heads body.
+``predict_rows`` run one encode -> fuse -> heads body; serving keeps no tape.
 """
 
 from dataclasses import dataclass
@@ -190,15 +190,15 @@ def _head_inputs(params, features):
             params.encoder.w_out.data.shape[1] + features.shape[1])
 
 
-def _fused_logits(graphs, union, features, params, dropout, rng):
+def _fused_logits(graphs, union, features, params):
     """Encode the graphs, fuse the fingerprint with their standardized
     descriptor rows and run the heads; the body of training's ``forward``
     and of ``predict_rows``."""
-    z = enc.encode_batch(graphs, params.encoder, dropout=dropout, rng=rng, union=union)
+    z = enc.encode_batch(graphs, params.encoder, union=union)
     return head_logits(ad.concat([z, Tensor(features)], axis=1), params.heads)
 
 
-def forward(batch, params, cfg, rng=None):
+def forward(batch, params, cfg):
     """Logits [B x T]; every head evaluates every molecule (validity only
     affects the loss)."""
     feats = batch.features
@@ -207,12 +207,12 @@ def forward(batch, params, cfg, rng=None):
     expect, fused = _head_inputs(params, feats)
     if fused != expect:
         raise ad.ShapeMismatch(f"fused dim {fused} does not match head input {expect}")
-    return _fused_logits(batch.graphs, batch.union, feats, params, cfg.dropout, rng)
+    return _fused_logits(batch.graphs, batch.union, feats, params)
 
 
-def batch_loss(batch, params, cfg, rng=None):
+def batch_loss(batch, params, cfg):
     """Forward + weighted loss for one batch; returns (loss, parts)."""
-    logits = forward(batch, params, cfg, rng=rng)
+    logits = forward(batch, params, cfg)
     r = task_proportions(batch)
     losses = masked_bce(logits, batch.labels, batch.valid)
     weights = params.weighting.weights(r)
@@ -272,7 +272,7 @@ def train(table, cfg, progress=None):
             for batch in data_mod.make_batches(train_view, cfg.batch_size, rng,
                                                features=features):
                 optimizer.zero_grad()
-                loss, parts = batch_loss(batch, params, cfg, rng=rng)
+                loss, parts = batch_loss(batch, params, cfg)
                 loss.backward()
                 optimizer.step()
                 present = parts["r"] > 0
@@ -328,6 +328,7 @@ def _chunks(pack, rows):
         yield [pack.graphs[r] for r in rows[part]], pack.gather(rows[part]), part
 
 
+@ad.no_grad()
 def predict_rows(pack, rows, features, params):
     """Probabilities for the graphs of ``pack`` at ``rows``, whose
     standardized descriptor rows are ``features``."""
@@ -338,10 +339,11 @@ def predict_rows(pack, rows, features, params):
         raise CheckpointMismatch(
             f"checkpoint heads expect {expect} inputs, features provide {fused}")
     return np.concatenate([
-        ad.sigmoid(_fused_logits(graphs, union, features[part], params, 0.0, None)).data
+        ad.sigmoid(_fused_logits(graphs, union, features[part], params)).data
         for graphs, union, part in _chunks(pack, rows)])
 
 
+@ad.no_grad()
 def embed_rows(pack, rows, encoder):
     """Fingerprints [len(rows) x H] of the graphs of ``pack`` at ``rows``."""
     return np.concatenate([enc.encode_batch(graphs, encoder, union=union).data

@@ -213,8 +213,9 @@ def parse_smiles(s):
     atoms = []
     atom_offsets = []
     bracketed = []
-    # bonds as [a, b, order-or-None, offset]
+    # bonds as [a, b, order-or-None, offset], and their unordered atom pairs
     raw_bonds = []
+    bonded = set()
     prev = None
     pending = None  # (order, offset)
     branch_stack = []
@@ -223,9 +224,10 @@ def parse_smiles(s):
     def new_bond(a, b, order, offset):
         if a == b:
             raise UnmatchedRingClosure("ring closure bonds an atom to itself", offset)
-        for rb in raw_bonds:
-            if {rb[0], rb[1]} == {a, b}:
-                raise UnmatchedRingClosure("duplicate bond between atom pair", offset)
+        pair = (a, b) if a < b else (b, a)
+        if pair in bonded:
+            raise UnmatchedRingClosure("duplicate bond between atom pair", offset)
+        bonded.add(pair)
         raw_bonds.append([a, b, order, offset])
 
     i = 0

@@ -153,6 +153,45 @@ class TestBackward:
         assert out._backward_fn is None
         assert not out.requires_grad
 
+    def test_no_tape_inside_no_grad(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.relu(ad.matmul(x, w))
+        assert out._parents == ()
+        assert out._backward_fn is None
+        assert not out.requires_grad
+        recorded = ad.matmul(x, w)
+        assert recorded._parents == (x, w)
+        assert recorded._backward_fn is not None
+
+    def test_no_grad_keeps_the_values(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        with ad.no_grad():
+            off = ad.softplus(ad.matmul(x, w)).data
+        on = ad.softplus(ad.matmul(x, w)).data
+        np.testing.assert_array_equal(off.view(np.int64), on.view(np.int64))
+
+    def test_recording_resumes_after_no_grad_raised(self):
+        x = Tensor(np.array([1e300]), requires_grad=True)
+        with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
+            with ad.no_grad():
+                ad.mul(x, x)
+        y = x * 2.0
+        assert y.requires_grad and y._parents[0] is x
+        y.backward()
+        assert x.grad == 2.0
+
+    def test_nested_no_grad_restores_the_outer_state(self):
+        x = Tensor(1.0, requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
     def test_linearity(self):
         def run(a, b):
             x = Tensor([1.0, -2.0, 0.5], requires_grad=True)

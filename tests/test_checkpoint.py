@@ -58,14 +58,17 @@ class TestCheckpoint:
         for t in (loaded.encoder.w_in, loaded.heads[1].b2, loaded.weighting.log_beta):
             assert np.shares_memory(t.data, loaded.store.flat)
 
-    @pytest.mark.parametrize("value", [False, True])
+    @pytest.mark.parametrize("value", [
+        {"uniform_weighting": False, "renormalize_weights": False},
+        {"uniform_weighting": True, "renormalize_weights": True},
+        {"dropout": 0.1},
+    ], ids=["False", "True", "dropout"])
     def test_retired_weighting_keys_load(self, tmp_path, value):
         cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
         params = mdl.init_model(cfg, n_tasks=2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(10)), SPECS)
-        write_manifest(path, lambda m: {**m, "config": {
-            **m["config"], "uniform_weighting": value, "renormalize_weights": value}})
+        write_manifest(path, lambda m: {**m, "config": {**m["config"], **value}})
         loaded, cfg2, _, _ = load_checkpoint(path)
         assert cfg2.to_dict() == cfg.to_dict()
         np.testing.assert_array_equal(loaded.store.flat, params.store.flat)

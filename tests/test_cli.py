@@ -110,8 +110,6 @@ class TestConfigValues:
         ["--lr", "0"],
         ["--lr", "nan"],
         ["--lr", "inf"],
-        ["--dropout", "1.0"],
-        ["--dropout", "-0.1"],
         ["--beta-min", "5", "--beta-max", "1"],
     ], ids=lambda flags: "=".join(flags))
     def test_bad_value_exits_2(self, tmp_path, capsys, flags):
@@ -121,13 +119,22 @@ class TestConfigValues:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
 
-    @pytest.mark.parametrize("key", ["uniform_weights", "renormalize_weights"])
-    def test_retired_weighting_key_exits_2(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        ("uniform_weights", "true"), ("renormalize_weights", "true"), ("dropout", "0.1"),
+    ], ids=["uniform_weights", "renormalize_weights", "dropout"])
+    def test_retired_weighting_key_exits_2(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"{key} = true\n")
+        cfgfile.write_text(f"{key} = {value}\n")
         rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path)])
         assert rc == cli.EXIT_CONFIG
         assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_retired_dropout_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["train", *small_flags(tmp_path), "--dropout", "0.1"])
+        assert exit_.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --dropout" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
 
     def test_diverging_run_exits_4(self, tmp_path, capsys):
         rc = cli.main(["train", *small_flags(tmp_path), "--lr", "1e300"])

@@ -54,6 +54,11 @@ class TestLoad:
         with pytest.raises(BadLabelValue):
             load_dataset(p, SPECS)
 
+    def test_error_after_blank_line_names_its_line(self, tmp_path):
+        p = write_csv(tmp_path, ["CCO,1,train,,,1", "", "CCN,2,train,,,1"])
+        with pytest.raises(BadLabelValue, match="row 4,"):
+            load_dataset(p, SPECS)
+
     def test_bad_split_tag(self, tmp_path):
         p = write_csv(tmp_path, ["CCO,1,holdout,,,1"])
         with pytest.raises(BadSplitTag):

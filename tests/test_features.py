@@ -113,6 +113,26 @@ class TestQcLoading:
         with pytest.raises(feat.MalformedRow, match=":3:"):
             feat.load_qc_descriptors(p, ["CCO"])
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        header = "smiles,qc_dipole,qc_gap,qc_nelec,qc_energy\n"
+        rows = ["CCO,1.0,2.0,3.0,4.0\n", "CCN,5.0,,7.0,8.0\n"]
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text(header + "".join(rows))
+        blank.write_text(header + "\n" + rows[0] + "\n\n" + rows[1] + "\n")
+        mols = ["CCN", "CCO", "CC"]
+        for want, got in zip(feat.load_qc_descriptors(plain, mols),
+                             feat.load_qc_descriptors(blank, mols)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_malformed_row_after_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "qc.csv"
+        p.write_text("smiles,qc_dipole,qc_gap,qc_nelec,qc_energy\n"
+                     "CCO,1.0,2.0,3.0,4.0\n"
+                     "\n"
+                     "CCN,1.0,2.0\n")
+        with pytest.raises(feat.MalformedRow, match=":4: expected 5 fields, got 3"):
+            feat.load_qc_descriptors(p, ["CCO"])
+
     def test_duplicate_warns_first_wins(self, tmp_path):
         p = tmp_path / "qc.csv"
         p.write_text("smiles,qc_dipole,qc_gap,qc_nelec,qc_energy\n"
@@ -153,6 +173,23 @@ class TestExternalPhys:
         self._write(p, ["CCO," + ",".join(["0"] * 200)])
         with pytest.raises(feat.MissingMolecule):
             feat.load_external_phys(p, ["CCO", "CCN"])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = ["CCO," + ",".join(map(repr, rng.normal(size=200).tolist())),
+                "CCN," + ",".join(map(repr, rng.normal(size=200).tolist()))]
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        self._write(plain, rows)
+        self._write(blank, ["", rows[0], "", rows[1], ""])
+        np.testing.assert_array_equal(feat.load_external_phys(blank, ["CCN", "CCO"]),
+                                      feat.load_external_phys(plain, ["CCN", "CCO"]))
+
+    def test_bad_row_after_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "phys.csv"
+        self._write(p, ["CCO," + ",".join(["0"] * 200), "", "",
+                        "CCN," + ",".join(["x"] * 200)])
+        with pytest.raises(feat.MalformedRow, match=":5: non-numeric"):
+            feat.load_external_phys(p, ["CCO"])
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "phys.csv"

@@ -208,6 +208,12 @@ class TestParseErrors:
         with pytest.raises(UnknownAtomToken):
             parse_smiles("C[NH2")
 
+    @pytest.mark.parametrize("smi, offset", [("C1C1", 3), ("C12CC12", 6)])
+    def test_duplicate_bond_names_its_offset(self, smi, offset):
+        with pytest.raises(UnmatchedRingClosure, match="duplicate bond") as err:
+            parse_smiles(smi)
+        assert err.value.offset == offset
+
     def test_conflicting_ring_orders(self):
         with pytest.raises(UnmatchedRingClosure):
             parse_smiles("C=1CCCCC#1")
