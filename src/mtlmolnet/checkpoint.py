@@ -2,25 +2,27 @@
 
 Layout: an ASCII header line ``MTLMOLNET-CKPT-1``, one JSON manifest line
 (metadata plus a tensor directory of name/shape/byte-offset entries), then
-a single blob of little-endian float64 data. Feature-standardization
-statistics ride along as ordinary tensors under reserved ``stats.*``
-names so prediction can reproduce training-time preprocessing. The
-manifest also records the built-in descriptor names and the phys source
+a single blob of little-endian float64 data: the model's flat parameter
+store, then the feature-standardization statistics under reserved
+``stats.*`` names, so prediction can reproduce training-time preprocessing.
+The manifest also records the built-in descriptor names and the phys source
 (built-in or an external ``--phys`` file) those statistics were fitted on;
 a checkpoint whose names differ from this build's, or that records either
 one not at all, is refused, since its statistics would standardize the
-wrong columns without any error. A malformed manifest is refused as well.
-Loading builds a zero model of the recorded config's parameter layout.
-When the tensor directory is that layout's own, as in every file
-``save_checkpoint`` writes, the parameters are read from the file straight
-into the model's flat store; otherwise each named tensor is copied into its
-view, refusing a missing or mis-shaped one. A tensor that would end past the
-file's end is refused as truncated before any is read.
+wrong columns without any error.
+
+Loading is the one place a model's shapes are checked. A file whose tensor
+directory differs from the recorded config's layout (``TrainConfig.param_shapes``,
+then the statistics), or whose blob is shorter, is refused before anything is
+allocated; otherwise the parameters are read with one ``readinto`` straight
+into a zero model's flat store, and the statistics with one more.
 """
 
 import io
+import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -34,9 +36,9 @@ _STATS_DIMS = {"phys_mean": feat.PHYS_DIM, "phys_std": feat.PHYS_DIM,
 
 
 def save_checkpoint(path, params, cfg, stats, task_specs):
-    tensors = [(name, t.data) for name, t in params.named_tensors()]
-    tensors += [(f"stats.{key}", getattr(stats, key)) for key in _STATS_DIMS]
-    directory = _directory([(name, arr.shape) for name, arr in tensors])
+    stats_arrays = [(f"stats.{key}", getattr(stats, key)) for key in _STATS_DIMS]
+    directory = _directory([(name, t.data.shape) for name, t in params.named_tensors()]
+                           + [(name, arr.shape) for name, arr in stats_arrays])
     manifest = {
         "config": cfg.to_dict(),
         "tasks": [
@@ -51,8 +53,9 @@ def save_checkpoint(path, params, cfg, stats, task_specs):
     with open(path, "wb") as fh:
         fh.write(MAGIC.encode() + b"\n")
         fh.write(json.dumps(manifest).encode() + b"\n")
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.store.flat, dtype="<f8"))
+        for _, arr in stats_arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _directory(shapes):
@@ -65,9 +68,26 @@ def _directory(shapes):
     return directory
 
 
+def _difference(entry, want):
+    """Why a manifest's tensor entry is not the layout's entry ``want``;
+    either is None past the end of its directory."""
+    if want is None:
+        return f"unexpected tensor entry {entry!r}"
+    name = want["name"]
+    if entry is None:
+        return f"missing tensor {name}"
+    if not isinstance(entry, dict) or entry.get("name") != name:
+        return f"expected tensor {name}, found entry {entry!r}"
+    shape = entry.get("shape")
+    if shape != want["shape"]:
+        shown = tuple(shape) if isinstance(shape, list) else repr(shape)
+        return f"tensor {name} has shape {shown}, expected {tuple(want['shape'])}"
+    return f"tensor {name} has entry {entry!r}, expected {want!r}"
+
+
 def _read_manifest(path, line):
-    """The manifest line as a dict with a config, a task list and a well-formed
-    tensor directory; anything else is a CheckpointMismatch."""
+    """The manifest line as a dict with a config dict and task and tensor
+    lists; anything else is a CheckpointMismatch."""
     try:
         manifest = json.loads(line)
     except ValueError as err:
@@ -77,24 +97,14 @@ def _read_manifest(path, line):
     for key, kind in (("config", dict), ("tasks", list), ("tensors", list)):
         if not isinstance(manifest.get(key), kind):
             raise CheckpointMismatch(f"{path}: manifest lacks a {kind.__name__} {key!r}")
-    for entry in manifest["tensors"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(_is_count(d) for d in entry["shape"])
-                and _is_count(entry.get("offset"))):
-            raise CheckpointMismatch(f"{path}: malformed tensor entry {entry!r}")
     return manifest
-
-
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(path):
     """Returns (params, cfg, stats, task_specs)."""
     with open(path, "rb") as fh:
-        # the tensor directory is checked against the file's size, which a
-        # pipe cannot tell before it is read
+        # the layout is checked against the file's size, which a pipe cannot
+        # tell before it is read
         return _load(path, fh if fh.seekable() else io.BytesIO(fh.read()))
 
 
@@ -124,49 +134,31 @@ def _load(path, fh):
             f"{', '.join(feat.PHYS_SOURCES)}; retrain the checkpoint"
         )
 
-    for entry in manifest["tensors"]:
-        if entry["offset"] + 8 * math.prod(entry["shape"]) > size:
-            raise CheckpointMismatch(f"{path}: truncated tensor {entry['name']}")
-
     try:
         cfg = TrainConfig.from_dict(manifest["config"])
         task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
     except (TypeError, ValueError) as err:
         raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
+    if not task_specs:
+        raise CheckpointMismatch(f"{path}: manifest records no tasks")
+
+    shapes = cfg.param_shapes(len(task_specs))
+    shapes += [(f"stats.{key}", (dim,)) for key, dim in _STATS_DIMS.items()]
+    for entry, want in itertools.zip_longest(manifest["tensors"], _directory(shapes)):
+        if entry != want:
+            raise CheckpointMismatch(f"{path}: {_difference(entry, want)}")
+    need = 8 * sum(math.prod(shape) for _, shape in shapes)
+    if size < need:
+        raise CheckpointMismatch(f"{path}: truncated blob ({size} of {need} bytes)")
 
     params = zero_model(cfg, len(task_specs))
     flat = params.store.flat
-    shapes = [(name, t.data.shape) for name, t in params.named_tensors()]
-    shapes += [(f"stats.{key}", (dim,)) for key, dim in _STATS_DIMS.items()]
-    # true of every file save_checkpoint writes: on a little-endian host the
-    # parameters are read straight into the store, and only the statistics
-    # into the blob buffer
-    direct = manifest["tensors"] == _directory(shapes) and flat.dtype == np.dtype("<f8")
-    skip = flat.nbytes if direct else 0
-    if direct:
-        fh.readinto(flat)
-    blob = np.empty(size - skip, dtype=np.uint8)
-    fh.readinto(blob)
-    arrays = {
-        entry["name"]: np.frombuffer(blob, dtype="<f8", count=math.prod(entry["shape"]),
-                                     offset=entry["offset"] - skip).reshape(entry["shape"])
-        for entry in manifest["tensors"] if entry["offset"] >= skip
-    }
-
-    def take(name, shape):
-        if name not in arrays:
-            raise CheckpointMismatch(f"{path}: missing tensor {name}")
-        arr = arrays[name]
-        if arr.shape != shape:
-            raise CheckpointMismatch(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {shape}"
-            )
-        return arr
-
-    if not direct:
-        for name, t in params.named_tensors():
-            t.data[...] = take(name, t.data.shape)
-    stats = feat.FeatureStats(**{key: take(f"stats.{key}", (dim,)).copy()
-                                 for key, dim in _STATS_DIMS.items()},
-                              phys_source=phys_source)
+    stats_flat = np.empty(sum(_STATS_DIMS.values()))
+    fh.readinto(flat)
+    fh.readinto(stats_flat)
+    if sys.byteorder == "big":  # the blob is little-endian
+        for arr in (flat, stats_flat):
+            arr.byteswap(inplace=True)
+    parts = np.split(stats_flat, list(itertools.accumulate(_STATS_DIMS.values()))[:-1])
+    stats = feat.FeatureStats(**dict(zip(_STATS_DIMS, parts)), phys_source=phys_source)
     return params, cfg, stats, task_specs

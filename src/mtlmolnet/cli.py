@@ -222,10 +222,13 @@ def _config_hash(cfg, seeds):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+_HISTORY_COLUMNS = ("epoch", "task", "loss", "r", "beta_eff", "w", "val_metric")
+
+
 def write_history(path, rows):
     with open(path, "w", newline="") as fh:
         writer = _csv_writer(fh)
-        writer.writerow(["epoch", "task", "loss", "r", "beta_eff", "w", "val_metric"])
+        writer.writerow(_HISTORY_COLUMNS)
         for row in rows:
             val = row["val_metric"]
             writer.writerow([
@@ -240,16 +243,24 @@ def read_history(path):
         raise HistoryMissing(f"history file {path!r} not found")
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({
-                "epoch": int(row["epoch"]),
-                "task": row["task"],
-                "loss": float(row["loss"]),
-                "r": float(row["r"]),
-                "beta_eff": float(row["beta_eff"]),
-                "w": float(row["w"]),
-                "val_metric": float(row["val_metric"]) if row["val_metric"] else None,
-            })
+        reader = csv.DictReader(fh)
+        columns = reader.fieldnames or _HISTORY_COLUMNS  # an empty file is refused below
+        missing = [c for c in _HISTORY_COLUMNS if c not in columns]
+        if missing:
+            raise dat.DatasetError(f"{path}: history lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                rows.append({
+                    "epoch": int(row["epoch"]),
+                    "task": row["task"],
+                    "loss": float(row["loss"]),
+                    "r": float(row["r"]),
+                    "beta_eff": float(row["beta_eff"]),
+                    "w": float(row["w"]),
+                    "val_metric": float(row["val_metric"]) if row["val_metric"] else None,
+                })
+            except (TypeError, ValueError) as err:
+                raise dat.DatasetError(f"{path}, line {reader.line_num}: {err}") from None
     if not rows:
         raise HistoryMissing(f"history file {path!r} is empty")
     return rows
@@ -273,7 +284,11 @@ def _train_one(table, specs, cfg, seed, out_dir):
     ckpt = out_dir / f"model_seed{seed}.ckpt"
     save_checkpoint(ckpt, result.params, run_cfg, result.stats, specs)
     write_history(out_dir / f"history_seed{seed}.csv", result.history)
-    val_scores = mdl.evaluate_split(table, result.params, run_cfg, "val", result.stats)
+    if result.history:  # the best epoch's scores are those of the restored parameters
+        val_scores = {row["task"]: row["val_metric"] for row in result.history
+                      if row["epoch"] == result.best_epoch}
+    else:  # no epoch ran, so the untrained model was never scored
+        val_scores = mdl.evaluate_split(table, result.params, run_cfg, "val", result.stats)
     return result, val_scores
 
 
@@ -447,6 +462,8 @@ def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
 
 
 def cmd_bench(args):
+    if args.t_single < 1:
+        raise ConfigError(f"--t-single must be >= 1, got {args.t_single}")
     params, cfg, stats, specs = _load_serving(args)
     mols, pack, features = _prepare_request(args, cfg, stats)
     rows = np.arange(len(mols))
@@ -579,7 +596,8 @@ _DATA_ERRORS = (
     HistoryMissing,
     NoTestData,
     CheckpointMismatch,
-    FileNotFoundError,
+    OSError,  # a missing or unreadable file, a directory
+    UnicodeDecodeError,
 )
 
 _NUMERIC_ERRORS = (NonFiniteLoss, ad.NonFiniteValue)

@@ -55,6 +55,11 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.beta_min > self.beta_max:
             raise ValueError(f"beta_min {self.beta_min} exceeds beta_max {self.beta_max}")
+        for name, dim in (("atom_dim", smiles.ATOM_FEATURE_DIM),
+                          ("bond_dim", smiles.BOND_FEATURE_DIM)):
+            if getattr(self, name) != dim:
+                raise ValueError(f"{name} must be the featurizer's {dim}, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def use_qc(self):

@@ -52,6 +52,9 @@ class TaskSpec:
     split_column: str
 
     def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.name, self.label_column,
+                                                 self.split_column)):
+            raise DatasetError(f"task {self.name!r}: name and columns must be strings")
         if self.metric not in ("AUROC", "AUPRC"):
             raise DatasetError(f"task {self.name}: metric must be AUROC or AUPRC")
 
@@ -288,20 +291,27 @@ def load_task_specs(path):
     import json
 
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as err:
+            raise DatasetError(f"{path}: task spec file is not valid JSON ({err})") from None
     if not isinstance(raw, list) or not raw:
         raise DatasetError(f"{path}: expected a non-empty JSON list of task specs")
     specs = []
     for entry in raw:
+        if not isinstance(entry, dict):
+            raise DatasetError(f"{path}: task spec {entry!r} is not a JSON object")
         try:
             specs.append(TaskSpec(
                 name=entry["name"],
                 metric=entry["metric"],
                 label_column=entry.get("label_column", entry["name"]),
-                split_column=entry.get("split_column", entry["name"] + "_split"),
+                split_column=entry.get("split_column", f"{entry['name']}_split"),
             ))
         except KeyError as err:
             raise DatasetError(f"{path}: task spec missing key {err}") from None
+        except DatasetError as err:
+            raise DatasetError(f"{path}: {err}") from None
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise DatasetError(f"{path}: duplicate task names")

@@ -194,20 +194,8 @@ def encode_batch(graphs, params, union=None):
     if union is None:
         union = pack_graphs(graphs).gather(np.arange(len(graphs)))
 
-    if params.w_in.data.shape[1] != params.hidden:
-        raise ShapeMismatch("w_in width does not match hidden size")
-    if params.w_msg.data.shape != (params.hidden, params.hidden):
-        raise ShapeMismatch("w_msg must be square [H x H]")
-
     atom_feats = union.atom_features
-    n_atoms_total, fa = atom_feats.shape
-    fb = params.w_in.data.shape[0] - fa
-    if union.edge_features.shape[1] != fb:
-        raise ShapeMismatch(
-            f"w_in expects {params.w_in.data.shape[0]} input dims (atom {fa} + bond {fb})"
-        )
-    if params.w_out.data.shape[0] != fa + params.hidden:
-        raise ShapeMismatch("w_out input dim must be F_a + H")
+    n_atoms_total = len(atom_feats)
     src, dst, rev = union.src, union.dst, union.rev
 
     # edge inputs [x_v || e_vw] are constants; keep them off the tape

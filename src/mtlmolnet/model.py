@@ -183,13 +183,6 @@ def head_logits(x, heads):
     return ad.concat(cols, axis=1)
 
 
-def _head_inputs(params, features):
-    """(inputs the heads expect, inputs the fingerprint and ``features``
-    provide)."""
-    return (params.heads[0].w1.data.shape[0],
-            params.encoder.w_out.data.shape[1] + features.shape[1])
-
-
 def _fused_logits(graphs, union, features, params):
     """Encode the graphs, fuse the fingerprint with their standardized
     descriptor rows and run the heads; the body of training's ``forward``
@@ -204,9 +197,6 @@ def forward(batch, params, cfg):
     feats = batch.features
     if feats is None:
         feats = feat.feature_matrix(batch.feature_blocks, use_qc=cfg.use_qc)
-    expect, fused = _head_inputs(params, feats)
-    if fused != expect:
-        raise ad.ShapeMismatch(f"fused dim {fused} does not match head input {expect}")
     return _fused_logits(batch.graphs, batch.union, feats, params)
 
 
@@ -332,12 +322,6 @@ def _chunks(pack, rows):
 def predict_rows(pack, rows, features, params):
     """Probabilities for the graphs of ``pack`` at ``rows``, whose
     standardized descriptor rows are ``features``."""
-    if len(params.heads) == 0:
-        raise CheckpointMismatch("model has no task heads")
-    expect, fused = _head_inputs(params, features)
-    if fused != expect:
-        raise CheckpointMismatch(
-            f"checkpoint heads expect {expect} inputs, features provide {fused}")
     return np.concatenate([
         ad.sigmoid(_fused_logits(graphs, union, features[part], params)).data
         for graphs, union, part in _chunks(pack, rows)])

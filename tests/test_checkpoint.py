@@ -7,7 +7,7 @@ import pytest
 
 from mtlmolnet import cli
 from mtlmolnet import model as mdl
-from mtlmolnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mtlmolnet.checkpoint import _STATS_DIMS, MAGIC, load_checkpoint, save_checkpoint
 from mtlmolnet.config import TrainConfig
 from mtlmolnet.data import TaskSpec
 from mtlmolnet.features import FeatureStats
@@ -76,6 +76,27 @@ class TestCheckpoint:
         mols.write_text("CCO\n")
         assert cli.main(["predict", "--checkpoint", str(path), "--data", str(mols),
                          "--out", str(tmp_path / "pred.csv")]) == 0
+
+    def test_blob_is_the_store_then_the_stats(self, tmp_path):
+        cfg = TrainConfig(variant="qw-mtl", hidden=5, ffn_hidden=3, depth=2)
+        params = mdl.init_model(cfg, n_tasks=2, rng=np.random.default_rng(12))
+        params.weighting.log_beta.data[:] = [0.3, -0.7]
+        stats = make_stats(np.random.default_rng(13))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, stats, SPECS)
+        blob = path.read_bytes().split(b"\n", 2)[2]
+        stats_bytes = b"".join(getattr(stats, key).astype("<f8").tobytes()
+                               for key in _STATS_DIMS)
+        # each tensor's bytes in layout order, then the statistics
+        assert blob == b"".join(t.data.astype("<f8").tobytes()
+                                for _, t in params.named_tensors()) + stats_bytes
+        assert blob == params.store.flat.astype("<f8").tobytes() + stats_bytes
+        loaded, _, stats2, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.store.flat.view(np.int64),
+                                      params.store.flat.view(np.int64))
+        for key in _STATS_DIMS:
+            np.testing.assert_array_equal(getattr(stats2, key).view(np.int64),
+                                          getattr(stats, key).view(np.int64))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_loads_from_a_pipe(self, tmp_path):
@@ -207,6 +228,11 @@ class TestManifestHardening:
         with_tensor_entry({"name": "encoder.w_in", "shape": [4, 4], "offset": "0"}),
         with_tensor_entry({"name": "encoder.w_in", "shape": [4, 4]}),
         with_tensor_entry({"name": "encoder.w_in", "shape": [10 ** 12], "offset": 0}),
+        with_tensor_entry({"name": "encoder.w_in", "shape": 5, "offset": 0}),
+        lambda m: {**m, "tensors": m["tensors"][::-1]},
+        lambda m: {**m, "tensors": m["tensors"] + [{"name": "x", "shape": [1], "offset": 0}]},
+        lambda m: {**m, "tensors": m["tensors"][:3] + m["tensors"][4:]},
+        lambda m: {**m, "tasks": []},
     ])
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit):
         cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
@@ -215,6 +241,35 @@ class TestManifestHardening:
         save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
         write_manifest(path, edit)
         assert_refused(path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: {**m, "tasks": []}, "records no tasks"),
+        (lambda m: {**m, "tensors": m["tensors"][::-1]},
+         r"expected tensor encoder\.w_in, found entry \{'name': 'stats\.qc_std'"),
+        (lambda m: {**m, "tensors": m["tensors"][:-1]}, "missing tensor stats.qc_std$"),
+        (lambda m: {**m, "tensors": m["tensors"] + [{"name": "extra"}]},
+         "unexpected tensor entry {'name': 'extra'}"),
+        (with_tensor_entry({"name": "encoder.w_in", "shape": 5, "offset": 0}),
+         r"tensor encoder\.w_in has shape 5, expected \(39, 4\)"),
+        (with_tensor_entry({"name": "encoder.w_in", "shape": [39, 4], "offset": 8}),
+         "tensor encoder.w_in has entry .*, expected .*'offset': 0"),
+    ], ids=["no_tasks", "reversed", "dropped", "extra", "scalar_shape", "offset"])
+    def test_directory_difference_named(self, tmp_path, capsys, edit, match):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
+        write_manifest(path, edit)
+        assert_refused(path, tmp_path, capsys, match=match)
+
+    @pytest.mark.parametrize("key, value", [("atom_dim", 10), ("bond_dim", 3)])
+    def test_featurizer_dims_refused(self, tmp_path, capsys, key, value):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
+        write_manifest(path, lambda m: {**m, "config": {**m["config"], key: value}})
+        assert_refused(path, tmp_path, capsys, match=f"{key} must be the featurizer's")
 
 
 class TestTensorShapes:

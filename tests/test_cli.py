@@ -13,6 +13,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
 from mtlmolnet import cli
+from mtlmolnet import metrics as met
+from mtlmolnet import model as mdl
 from mtlmolnet.checkpoint import load_checkpoint
 
 
@@ -75,6 +77,43 @@ class TestTrainCommand:
                         "CCO,2,train,,,1\n")
         rc = cli.main(["train", *flags])
         assert rc == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("epochs, passes", [("3", 3), ("0", 1)])
+    def test_one_validation_pass_per_epoch(self, tmp_path, monkeypatch, capsys, epochs,
+                                           passes):
+        splits = []
+        evaluate = mdl.evaluate_split
+
+        def counted(table, params, cfg, split, stats):
+            splits.append(split)
+            return evaluate(table, params, cfg, split, stats)
+
+        monkeypatch.setattr(mdl, "evaluate_split", counted)
+        flags = small_flags(tmp_path, epochs=epochs)
+        assert cli.main(["train", *flags]) == 0
+        assert splits == ["val"] * passes
+        # the report holds the saved model's scores, as a fresh pass finds them
+        params, cfg, stats, specs = load_checkpoint(tmp_path / "runs" / "model_seed0.ckpt")
+        table, _ = cli._load_table(cfg, {key: flags[flags.index(f"--{key}") + 1]
+                                         for key in ("data", "tasks", "qc")})
+        report = met.aggregate([evaluate(table, params, cfg, "val", stats)],
+                               metrics={s.name: s.metric for s in specs})
+        report.to_csv(tmp_path / "expected.csv")
+        assert ((tmp_path / "runs" / "val_report.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+        assert capsys.readouterr().out.endswith(report.to_text() + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "{bad", "[1, 2]", '["a"]', '[{"name": 5, "metric": "AUROC"}]',
+    ], ids=["not_json", "numbers", "string", "number_name"])
+    def test_malformed_task_file_exits_3(self, tmp_path, capsys, text):
+        flags = small_flags(tmp_path)
+        tasks = Path(flags[flags.index("--tasks") + 1])
+        tasks.write_text(text)
+        rc = cli.main(["train", *flags])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {tasks}: ")
 
     def test_config_file_with_flag_override(self, tmp_path):
         flags = small_flags(tmp_path)
@@ -253,6 +292,30 @@ class TestPredictEval:
         assert [r[0] for r in rows[1:]] == ["task0", "task1"]
         assert rows != list(csv.reader(default.splitlines()))
 
+    def test_checkpoint_directory_exits_3(self, tmp_path, capsys):
+        mols = tmp_path / "mols.txt"
+        mols.write_text("CCO\n")
+        rc = cli.main(["predict", "--checkpoint", str(tmp_path), "--data", str(mols)])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_utf8_data_exits_3(self, trained, tmp_path, capsys, command):
+        run_dir, flags = trained
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"smiles\nCC\xe9O\n")
+        capsys.readouterr()
+        rc = cli.main([command, "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
+                       "--data", str(data), "--qc", flags[flags.index("--qc") + 1]])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_eval_no_test_data(self, trained, tmp_path, capsys):
         run_dir, flags = trained
         ckpt = run_dir / "runs" / "model_seed0.ckpt"
@@ -425,6 +488,16 @@ class TestBench:
         assert abs(float(out["speedup"]) - 1.0) < 0.10
         assert "parameter_count" in out
 
+    @pytest.mark.parametrize("t_single", ["0", "-2"])
+    def test_bad_t_single_exits_2(self, tmp_path, capsys, t_single):
+        rc = cli.main(["bench", "--checkpoint", str(tmp_path / "model.ckpt"),
+                       "--data", str(tmp_path / "mols.txt"), "--t-single", t_single])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --t-single must be >= 1")
+
     def test_parameter_count_matches(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")
         assert cli.main(["train", *flags]) == 0
@@ -473,6 +546,23 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--history", str(tmp_path / "nope.csv"),
                        "--data", data, "--tasks", tasks])
         assert rc == cli.EXIT_DATA
+
+
+    @pytest.mark.parametrize("text, where", [
+        ("epoch,task,r,beta_eff,w,val_metric\n0,task0,0.5,1.0,0.5,\n",
+         ": history lacks column(s) loss"),
+        ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,1.0,0.5,\n"
+         "zero,task1,0.1,0.5,1.0,0.5,\n", ", line 3: "),
+    ], ids=["no_loss_column", "epoch_zero"])
+    def test_malformed_history_exits_3(self, tmp_path, capsys, text, where):
+        history = tmp_path / "history.csv"
+        history.write_text(text)
+        rc = cli.main(["analyze", "--history", str(history),
+                       "--data", str(tmp_path / "data.csv"),
+                       "--tasks", str(tmp_path / "tasks.json")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {history}{where}")
 
 
 class TestBetaTableRoundTrip:

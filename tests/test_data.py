@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,15 @@ class TestTaskSpecFile:
         assert specs[0].name == "A"
         assert specs[1].label_column == "B"
         assert specs[1].split_column == "B_split"
+
+    @pytest.mark.parametrize("text", [
+        "{bad", "[1, 2]", '["a"]', '[{"name": 5, "metric": "AUROC"}]',
+    ], ids=["not_json", "numbers", "string", "number_name"])
+    def test_malformed_file_refused(self, tmp_path, text):
+        p = tmp_path / "tasks.json"
+        p.write_text(text)
+        with pytest.raises(dat.DatasetError, match=re.escape(str(p))):
+            dat.load_task_specs(p)
 
     def test_duplicate_names(self, tmp_path):
         p = tmp_path / "tasks.json"
