@@ -427,13 +427,15 @@ def clamp(x, lo, hi):
 
 class ParamStore:
     """Parameter Tensors whose ``data`` are views into one flat float64
-    vector, in the order of ``shapes``, a list of ``(name, shape)``. A
-    snapshot is ``flat.copy()`` and a restore ``flat[...] = snapshot``;
-    the views are never rebound."""
+    vector, in the order of ``shapes``, a list of ``(name, shape)``. The
+    vector is ``flat`` when given (a checkpoint loader reads into it, so it
+    need not be zeroed first), else a new zero vector. A snapshot is
+    ``flat.copy()`` and a restore ``flat[...] = snapshot``; the views are
+    never rebound."""
 
-    def __init__(self, shapes):
+    def __init__(self, shapes, flat=None):
         sizes = [math.prod(shape) for _, shape in shapes]
-        self.flat = np.zeros(sum(sizes))
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
         ends = itertools.accumulate(sizes)
         self.tensors = {name: Tensor(self.flat[end - size:end].reshape(shape),
                                      requires_grad=True)

@@ -13,9 +13,10 @@ wrong columns without any error.
 
 Loading is the one place a model's shapes are checked. A file whose tensor
 directory differs from the recorded config's layout (``TrainConfig.param_shapes``,
-then the statistics), or whose blob is shorter, is refused before anything is
-allocated; otherwise the parameters are read with one ``readinto`` straight
-into a zero model's flat store, and the statistics with one more.
+then the statistics), or whose blob is shorter or longer than that layout, is
+refused before anything is allocated; otherwise the parameters are read with
+one ``readinto`` into an unfilled vector that becomes the model's flat store,
+and the statistics with one more.
 """
 
 import io
@@ -148,17 +149,17 @@ def _load(path, fh):
         if entry != want:
             raise CheckpointMismatch(f"{path}: {_difference(entry, want)}")
     need = 8 * sum(math.prod(shape) for _, shape in shapes)
-    if size < need:
-        raise CheckpointMismatch(f"{path}: truncated blob ({size} of {need} bytes)")
+    if size != need:
+        raise CheckpointMismatch(f"{path}: blob has {size} bytes, its layout needs {need}")
 
-    params = zero_model(cfg, len(task_specs))
-    flat = params.store.flat
-    stats_flat = np.empty(sum(_STATS_DIMS.values()))
+    n_stats = sum(_STATS_DIMS.values())
+    flat, stats_flat = np.empty(need // 8 - n_stats), np.empty(n_stats)
     fh.readinto(flat)
     fh.readinto(stats_flat)
     if sys.byteorder == "big":  # the blob is little-endian
         for arr in (flat, stats_flat):
             arr.byteswap(inplace=True)
+    params = zero_model(cfg, len(task_specs), flat)
     parts = np.split(stats_flat, list(itertools.accumulate(_STATS_DIMS.values()))[:-1])
     stats = feat.FeatureStats(**dict(zip(_STATS_DIMS, parts)), phys_source=phys_source)
     return params, cfg, stats, task_specs

@@ -191,21 +191,24 @@ def parse_molecules(smiles_list):
 
 
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
-    """Parse and featurize SMILES and build their raw descriptor blocks.
+    """Parse SMILES, pack and featurize them, and build their raw
+    descriptor blocks.
 
     The one preparation path of training, evaluation, prediction and bench;
     analysis, which reads no descriptors, packs ``parse_molecules`` alone.
-    Descriptors are the built-in set unless an external 200-dim file is
-    given; quantum values come from ``qc_path`` or stay fully masked.
+    Only parsing runs per molecule: the features are filled for the whole
+    pack at once, and the built-in descriptors are computed from the pack's
+    codes. Descriptors are the built-in set unless an external 200-dim file
+    is given; quantum values come from ``qc_path`` or stay fully masked.
     Returns ``(pack, blocks)``: the graphs featurized into one GraphPack
     (``pack.graphs``, whose arrays are views into it) and one
     unstandardized FeatureBlock per molecule.
     """
-    graphs = parse_molecules(smiles_list)
+    pack = enc.pack_graphs(parse_molecules(smiles_list), featurize=True)
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, smiles_list)
     else:
-        phys = np.stack([feat.builtin_phys_block(g) for g in graphs])
+        phys = feat.builtin_phys_matrix(pack.codes)
     if qc_path is not None:
         qc, qc_mask = feat.load_qc_descriptors(qc_path, smiles_list)
     else:
@@ -213,7 +216,7 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
         qc_mask = np.zeros((len(smiles_list), feat.QC_DIM))
     blocks = [feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
               for i in range(len(smiles_list))]
-    return enc.pack_graphs(graphs, featurize=True), blocks
+    return pack, blocks
 
 
 def prepare_table(table, phys_path=None, qc_path=None):

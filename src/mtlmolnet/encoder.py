@@ -9,13 +9,13 @@ incoming edge states and a mean over atoms yields the fingerprint.
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
 them one at a time because no edges cross molecules. A table's graphs are
-packed once into a ``GraphPack`` of flat arrays (like Chemprop's
-``BatchMolGraph``), and a batch's union is a vectorised gather from it.
+packed and featurized once, all together, into a ``GraphPack`` of flat
+arrays (like Chemprop's ``BatchMolGraph``), and a batch's union is a
+vectorised gather from it.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -102,8 +102,10 @@ class GraphPack:
 
     Row i owns atoms ``atom_off[i]:atom_off[i+1]``, directed edges
     ``edge_off[i]:edge_off[i+1]`` and bonds ``bond_off[i]:bond_off[i+1]``.
-    ``edges`` holds each graph's ``directed_edges`` unchanged, so its
-    columns are molecule-local (src atom, dst atom, bond, reverse edge).
+    ``edges`` holds each graph's ``directed_edges``, so its columns are
+    molecule-local (src atom, dst atom, bond, reverse edge). A pack that
+    ``pack_graphs`` featurized keeps the integer ``codes`` its features were
+    filled from, which the built-in descriptors read too.
     """
 
     graphs: list
@@ -113,6 +115,7 @@ class GraphPack:
     atom_off: np.ndarray  # [N + 1]
     edge_off: np.ndarray  # [N + 1]
     bond_off: np.ndarray  # [N + 1]
+    codes: smiles.GraphCodes = None
 
     def gather(self, rows):
         """The UnionGraph of the graphs at ``rows``, in that order."""
@@ -139,13 +142,19 @@ class GraphPack:
         )
 
 
+def _offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
 def pack_graphs(graphs, featurize=False):
     """Pack MolGraphs into one GraphPack.
 
-    With ``featurize`` each graph is featurized as it is copied in, and its
-    arrays are rebound as views into the pack, so a table's features are
-    never held twice. Otherwise the graphs must be featurized already and
-    are left unchanged.
+    With ``featurize`` the graphs' atoms and bonds are read once into
+    ``smiles.GraphCodes``, the pack's features and edges are filled from
+    those codes for all graphs at once, and each graph's arrays are rebound
+    as views into the pack, so a table's features are never held twice.
+    Otherwise the graphs must be featurized already, their arrays are
+    copied in and they are left unchanged.
     """
     if not graphs:
         raise EmptyMolecule("empty graph batch")
@@ -154,34 +163,30 @@ def pack_graphs(graphs, featurize=False):
             raise EmptyMolecule("graph has no atoms")
         if not featurize and (g.atom_features is None or g.bond_features is None):
             raise ShapeMismatch("graph is not featurized")
-    if featurize:
-        fa, fb = smiles.ATOM_FEATURE_DIM, smiles.BOND_FEATURE_DIM
-    else:
-        fa, fb = graphs[0].atom_features.shape[1], graphs[0].bond_features.shape[1]
-    ao = [0, *accumulate(g.n_atoms for g in graphs)]
-    bo = [0, *accumulate(g.n_bonds for g in graphs)]
-    eo = [0, *accumulate(len(g.directed_edges) for g in graphs)]
-    pack = GraphPack(graphs=graphs, atom_features=np.empty((ao[-1], fa)),
-                     bond_features=np.empty((bo[-1], fb)),
-                     edges=np.empty((eo[-1], 4), dtype=np.int64),
-                     atom_off=np.array(ao, dtype=np.int64),
-                     edge_off=np.array(eo, dtype=np.int64),
-                     bond_off=np.array(bo, dtype=np.int64))
-    for i, g in enumerate(graphs):
-        if featurize:
-            smiles.featurize(g)
-        atoms, bonds, edges = (slice(ao[i], ao[i + 1]), slice(bo[i], bo[i + 1]),
-                               slice(eo[i], eo[i + 1]))
+    if not featurize:
         try:
-            pack.atom_features[atoms] = g.atom_features
-            pack.bond_features[bonds] = g.bond_features
+            atom_features = np.concatenate([g.atom_features for g in graphs])
+            bond_features = np.concatenate([g.bond_features for g in graphs])
         except ValueError as err:
-            raise ShapeMismatch(f"graph {i} does not fit the pack: {err}") from None
-        pack.edges[edges] = g.directed_edges
-        if featurize:
-            g.atom_features = pack.atom_features[atoms]
-            g.bond_features = pack.bond_features[bonds]
-            g.directed_edges = pack.edges[edges]
+            raise ShapeMismatch(f"graphs do not fit one pack: {err}") from None
+        return GraphPack(graphs=graphs, atom_features=atom_features,
+                         bond_features=bond_features,
+                         edges=np.concatenate([g.directed_edges for g in graphs]),
+                         atom_off=_offsets([g.n_atoms for g in graphs]),
+                         edge_off=_offsets([len(g.directed_edges) for g in graphs]),
+                         bond_off=_offsets([g.n_bonds for g in graphs]))
+
+    codes = smiles.read_codes(graphs)
+    atom_features, bond_features = smiles.fill_features(codes)
+    ao, bo = codes.atom_off, codes.bond_off
+    pack = GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
+                     edges=codes.directed_edges(), atom_off=ao, edge_off=2 * bo, bond_off=bo,
+                     codes=codes)
+    for g, a0, a1, b0, b1 in zip(graphs, ao.tolist(), ao[1:].tolist(), bo.tolist(),
+                                 bo[1:].tolist()):
+        g.atom_features = atom_features[a0:a1]
+        g.bond_features = bond_features[b0:b1]
+        g.directed_edges = pack.edges[2 * b0:2 * b1]
     return pack
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smiles
+
 PHYS_DIM = 200
 QC_DIM = 4
 QC_COLUMNS = ("qc_dipole", "qc_gap", "qc_nelec", "qc_energy")
@@ -48,7 +50,10 @@ ATOMIC_MASS = {
     "Br": 79.904, "Se": 78.971, "I": 126.904,
 }
 
-_HALOGENS = {"F", "Cl", "Br", "I"}
+# per smiles.ELEMENT_ORDER index, with the trailing "other" slot last
+_MASS_OF_ELEMENT = np.array([ATOMIC_MASS.get(e, 0.0) for e in smiles.ELEMENT_ORDER] + [0.0])
+_IS_HALOGEN = np.array([e in ("F", "Cl", "Br", "I") for e in smiles.ELEMENT_ORDER] + [False])
+_HYDROGEN, _CARBON, _NITROGEN, _OXYGEN = (smiles.ELEMENT_ORDER.index(e) for e in "HCNO")
 
 
 class FeatureFileError(ValueError):
@@ -78,7 +83,7 @@ class FeatureBlock:
     qc_mask: np.ndarray  # [4] of {0, 1}
 
 
-# where a phys block comes from: compute_phys_descriptors or a --phys file
+# where a phys block comes from: builtin_phys_matrix or a --phys file
 PHYS_SOURCES = ("builtin", "external")
 
 
@@ -96,9 +101,11 @@ class FeatureStats:
     phys_source: str = "builtin"  # the PHYS_SOURCES entry the phys stats were fitted on
 
 
-def compute_phys_descriptors(g):
-    """Built-in 16-descriptor vector for a parsed graph, in the order of
-    BUILTIN_DESCRIPTOR_NAMES.
+def builtin_phys_matrix(codes):
+    """[N x PHYS_DIM] built-in descriptor blocks of the graphs read into
+    ``codes`` (``smiles.GraphCodes``): the 16 descriptors of
+    BUILTIN_DESCRIPTOR_NAMES, zero-padded, each summed per molecule with
+    one ``np.bincount`` over all atoms or bonds.
 
     rotatable bond: single, not in a ring, both endpoints bonded to at
     least two atoms. donors: N/O carrying at least one hydrogen;
@@ -108,76 +115,66 @@ def compute_phys_descriptors(g):
     is linear in this block can separate them. heteroatoms also counts S,
     P, Se, B and Si, which hbond_acceptors does not. The logP surrogate is
     the declared linear rule 0.2 * n_carbon - 0.4 * (n_nitrogen + n_oxygen),
-    not a fitted model.
+    not a fitted model. components is the parser's count of connected
+    components.
     """
-    atoms = g.atoms
-    bonds = g.bonds
+    n = len(codes.components)
+    n_atoms = np.diff(codes.atom_off)
+    mol_of_atom = np.repeat(np.arange(n), n_atoms)
+    mol_of_bond = np.repeat(np.arange(n), np.diff(codes.bond_off))
 
-    weight = 0.0
-    for a in atoms:
-        weight += ATOMIC_MASS.get(a.element, 0.0)
-        weight += a.explicit_h * ATOMIC_MASS["H"]
+    def per_atom(weights):
+        return np.bincount(mol_of_atom, weights=weights, minlength=n)
 
-    heavy = sum(1 for a in atoms if a.element != "H")
-    ring_bonds = sum(1 for b in bonds if b.in_ring)
-    aromatic_atoms = sum(1 for a in atoms if a.aromatic)
-    rotatable = sum(
-        1 for b in bonds
-        if b.order == "single" and not b.in_ring
-        and atoms[b.a].degree >= 2 and atoms[b.b].degree >= 2
-    )
-    donors = sum(1 for a in atoms if a.element in ("N", "O") and a.explicit_h >= 1)
-    acceptors = sum(1 for a in atoms if a.element in ("N", "O"))
-    nitrogens = sum(1 for a in atoms if a.element == "N")
-    charge_sum = sum(a.formal_charge for a in atoms)
-    halogens = sum(1 for a in atoms if a.element in _HALOGENS)
-    hetero = sum(1 for a in atoms if a.element not in ("C", "H"))
-    degrees = [a.degree for a in atoms]
-    n_carbon = sum(1 for a in atoms if a.element == "C")
+    def per_bond(weights):
+        return np.bincount(mol_of_bond, weights=weights, minlength=n)
 
-    n_components = _component_count(len(atoms), bonds)
+    element = codes.element
+    n_or_o = (element == _NITROGEN) | (element == _OXYGEN)
+    # a molecule's weight adds each atom's mass, then its hydrogens', in atom
+    # order; bincount adds in index order, so interleaving keeps the sum's bits
+    mass_terms = np.stack([_MASS_OF_ELEMENT[element], codes.hydrogens * ATOMIC_MASS["H"]],
+                          axis=1)
+    weight = np.bincount(np.repeat(mol_of_atom, 2), weights=mass_terms.ravel(), minlength=n)
+    degree = codes.degree
+    a, b = codes.ends + np.repeat(codes.atom_off[:-1], np.diff(codes.bond_off))
+    rotatable = ((codes.order == 0) & (codes.bond_ring == 0)
+                 & (degree[a] >= 2) & (degree[b] >= 2))
+    aromatic_atoms = per_atom(codes.aromatic)
+    acceptors = per_atom(n_or_o)
 
-    return np.array([
+    out = np.zeros((n, PHYS_DIM))
+    out[:, :len(BUILTIN_DESCRIPTOR_NAMES)] = np.stack([
         weight,
-        float(heavy),
-        float(ring_bonds),
-        float(aromatic_atoms),
-        float(rotatable),
-        float(donors),
-        float(acceptors),
-        float(charge_sum),
-        float(halogens),
-        float(hetero),
-        float(max(degrees)),
-        float(np.mean(degrees)),
-        aromatic_atoms / len(atoms),
-        float(nitrogens),
-        float(n_components),
-        0.2 * n_carbon - 0.4 * (acceptors),
-    ])
-
-
-def _component_count(n_atoms, bonds):
-    parent = list(range(n_atoms))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in bonds:
-        ra, rb = find(b.a), find(b.b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n_atoms)})
+        per_atom(element != _HYDROGEN),
+        per_bond(codes.bond_ring),
+        aromatic_atoms,
+        per_bond(rotatable),
+        per_atom(n_or_o & (codes.hydrogens >= 1)),
+        acceptors,
+        per_atom(codes.charge),
+        per_atom(_IS_HALOGEN[element]),
+        per_atom((element != _CARBON) & (element != _HYDROGEN)),
+        np.maximum.reduceat(degree, codes.atom_off[:-1]),
+        per_atom(degree) / n_atoms,
+        aromatic_atoms / n_atoms,
+        per_atom(element == _NITROGEN),
+        codes.components,
+        0.2 * per_atom(element == _CARBON) - 0.4 * acceptors,
+    ], axis=1)
+    return out
 
 
 def builtin_phys_block(g):
-    """Built-in descriptors zero-padded to the full 200-dim layout."""
-    vec = np.zeros(PHYS_DIM)
-    vec[: len(BUILTIN_DESCRIPTOR_NAMES)] = compute_phys_descriptors(g)
-    return vec
+    """Built-in descriptors of one parsed graph, zero-padded to the full
+    200-dim layout."""
+    return builtin_phys_matrix(smiles.read_codes([g]))[0]
+
+
+def compute_phys_descriptors(g):
+    """Built-in 16-descriptor vector for a parsed graph, in the order of
+    BUILTIN_DESCRIPTOR_NAMES; see ``builtin_phys_matrix``."""
+    return builtin_phys_block(g)[:len(BUILTIN_DESCRIPTOR_NAMES)]
 
 
 def _read_csv_rows(path):

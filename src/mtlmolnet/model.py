@@ -107,9 +107,11 @@ class ModelParams:
         self.store.flat[...] = snapshot
 
 
-def zero_model(cfg, n_tasks):
-    """A model of ``cfg``'s parameter layout with every parameter 0."""
-    store = ad.ParamStore(cfg.param_shapes(n_tasks))
+def zero_model(cfg, n_tasks, flat=None):
+    """A model of ``cfg``'s parameter layout with every parameter 0, or with
+    its parameters as views into ``flat``, a float64 vector of the layout's
+    size, when given (see ``autodiff.ParamStore``)."""
+    store = ad.ParamStore(cfg.param_shapes(n_tasks), flat)
     t = store.tensors
     t["log_beta"].requires_grad = cfg.learnable_beta
     heads = [HeadParams(**{k: t[f"head{i}.{k}"] for k in ("w1", "b1", "w2", "b2")})

@@ -1,4 +1,4 @@
-"""SMILES parsing into featurized molecular graphs.
+"""SMILES parsing into molecular graphs, and their featurization.
 
 Supported subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I and
 aromatic b, c, n, o, p, s), bracket atoms with isotope, charge and explicit
@@ -21,9 +21,22 @@ aromatic bonds so that five-membered heteroaromatics and fused-ring
 junction atoms pass.
 
 Parse errors carry the byte offset of the offending token.
+
+``parse_smiles`` is the one per-molecule step: it tokenizes with one
+compiled regex (as in the SMILES tokenizer of Schwaller et al., ACS Cent.
+Sci. 2019), finds ring bonds on the spanning tree that the SMILES itself
+writes down, and sums each atom's degree and valence in one pass over the
+bonds, which the hydrogen audit and the conjugation marking then read. Everything
+after it works on many graphs at once: ``read_codes`` reads their atoms and
+bonds once into integer arrays, and ``fill_features`` builds the one-hot
+features of all of them with one fancy-index assignment per field, as
+Chemprop's ``BatchMolGraph`` builds a batch's arrays in one go.
 """
 
-from dataclasses import dataclass, field
+import operator
+import re
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,14 +65,37 @@ ELEMENT_ORDER = ("H", "B", "C", "N", "O", "F", "Si", "P", "S", "Cl", "Br", "I", 
 ATOM_FEATURE_DIM = 33
 BOND_FEATURE_DIM = 6
 
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = {"B", "C", "N", "O", "P", "S", "F", "I"}
+# one token per match: a bracket atom, a two-letter organic atom, a %nn ring
+# label, or any single character
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9][0-9]|.", re.S)
+# unbracketed atom tokens -> (element, aromatic, hydrogens, charge, bracketed)
+_ORGANIC = {e: (e, False, 0, 0, False)
+            for e in ("B", "C", "N", "O", "P", "S", "F", "I", "Cl", "Br")}
+_ORGANIC.update((e, (e.upper(), True, 0, 0, False)) for e in ("b", "c", "n", "o", "p", "s"))
 _AROMATIC_ORGANIC = {"b", "c", "n", "o", "p", "s"}
 # aromatic atoms whose ring participation includes one double bond
 _AROMATIC_PI_BOND = {"C", "N", "P"}
 
-_BOND_CHAR = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
-              "/": "single", "\\": "single"}
+# bond symbols -> index into BOND_ORDERS
+_BOND_CHAR = {"-": 0, "=": 1, "#": 2, ":": 3, "/": 0, "\\": 0}
+_SINGLE, _DOUBLE, _AROMATIC = 0, 1, 3
+_UNITS = (1, 2, 3, 1)  # a bond's share of an atom's valence, aromatic counted as one
+
+
+def _allowed_valences(element, charge):
+    base = VALENCES[element]
+    if element in ("C", "Si", "H"):
+        shift = -abs(charge)  # either charge sign removes a bonding electron pair
+    elif element == "B":
+        shift = -charge  # borate anions gain a bond, cations lose one
+    else:
+        shift = charge  # N/O/S/P and halogens: charge adds or removes a bond
+    return tuple(max(0, v + shift) for v in base)
+
+
+# (element, formal charge) -> permitted valences, ascending; an element
+# missing here is not audited
+_ALLOWED = {(e, q): _allowed_valences(e, q) for e in VALENCES for q in range(-4, 5)}
 
 
 class SmilesError(ValueError):
@@ -86,7 +122,7 @@ class ValenceViolation(SmilesError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     element: str
     formal_charge: int = 0
@@ -96,7 +132,7 @@ class Atom:
     degree: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     a: int
     b: int
@@ -111,16 +147,18 @@ class MolGraph:
 
     ``directed_edges`` is an int64 array of shape [2*n_bonds, 4] with
     columns (src_atom, dst_atom, bond_index, reverse_edge_index); bond i
-    yields edges 2i (a->b) and 2i+1 (b->a).
+    yields edges 2i (a->b) and 2i+1 (b->a). It is built from the bonds on
+    first use, unless a GraphPack has bound it to a view of its own edges.
+    ``n_components`` is the number of connected components, counted by the
+    parser on the bond graph.
     """
 
     atoms: list
     bonds: list
-    directed_edges: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 4), dtype=np.int64)
-    )
     atom_features: np.ndarray = None
     bond_features: np.ndarray = None
+    n_components: int = None
+    _edges = None
 
     @property
     def n_atoms(self):
@@ -129,6 +167,18 @@ class MolGraph:
     @property
     def n_bonds(self):
         return len(self.bonds)
+
+    @property
+    def directed_edges(self):
+        if self._edges is None:
+            ends = np.array([[b.a for b in self.bonds], [b.b for b in self.bonds]],
+                            dtype=np.int64).reshape(2, -1)
+            self._edges = _directed_edges(ends, np.arange(len(self.bonds)))
+        return self._edges
+
+    @directed_edges.setter
+    def directed_edges(self, edges):
+        self._edges = edges
 
 
 def _parse_bracket(body, offset):
@@ -210,118 +260,91 @@ def parse_smiles(s):
         bad = next(i for i, c in enumerate(s) if not c.isascii())
         raise UnknownAtomToken("non-ASCII character", bad)
 
-    atoms = []
-    atom_offsets = []
-    bracketed = []
-    # bonds as [a, b, order-or-None, offset], and their unordered atom pairs
-    raw_bonds = []
-    bonded = set()
-    prev = None
-    pending = None  # (order, offset)
+    # per atom: (element, aromatic, hydrogens, charge, bracketed), offset, and
+    # its parent and depth in the forest of chain (non-closure) bonds, -1 and
+    # 0 for the first atom of a fragment
+    atoms, offsets, parent, depth = [], [], [], []
+    bonds = []  # (a, b, BOND_ORDERS index or None when implicit, offset)
+    closures = set()  # atom pairs (low, high) of ring-closure bonds
+    prev = -1
+    pending = None  # BOND_ORDERS index of a bond symbol awaiting its atom
+    pending_off = 0
     branch_stack = []
     rings = {}  # number -> (atom index, order-or-None, offset)
 
-    def new_bond(a, b, order, offset):
-        if a == b:
-            raise UnmatchedRingClosure("ring closure bonds an atom to itself", offset)
-        pair = (a, b) if a < b else (b, a)
-        if pair in bonded:
-            raise UnmatchedRingClosure("duplicate bond between atom pair", offset)
-        bonded.add(pair)
-        raw_bonds.append([a, b, order, offset])
-
     i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c == "(":
-            if prev is None:
-                raise UnbalancedParenthesis("branch opened before any atom", i)
-            branch_stack.append((prev, i))
-            i += 1
-            continue
-        if c == ")":
-            if not branch_stack:
-                raise UnbalancedParenthesis("unmatched ')'", i)
-            if pending is not None:
-                raise UnknownAtomToken("dangling bond before ')'", pending[1])
-            prev = branch_stack.pop()[0]
-            i += 1
-            continue
-        if c in _BOND_CHAR:
-            if pending is not None:
-                raise UnknownAtomToken("two bond symbols in a row", i)
-            pending = (_BOND_CHAR[c], i)
-            i += 1
-            continue
-        if c == ".":
-            if pending is not None:
-                raise UnknownAtomToken("bond before fragment separator", pending[1])
-            prev = None
-            i += 1
-            continue
-        if c.isdigit() or c == "%":
-            if prev is None:
-                raise UnmatchedRingClosure("ring closure before any atom", i)
-            if c == "%":
-                if i + 2 >= n or not (s[i + 1].isdigit() and s[i + 2].isdigit()):
-                    raise UnmatchedRingClosure("'%' needs two digits", i)
-                num = int(s[i + 1 : i + 3])
-                tok_len = 3
-            else:
-                num = int(c)
-                tok_len = 1
-            order = pending[0] if pending is not None else None
-            pending = None
-            if num in rings:
+    for tok in _TOKEN.findall(s):
+        off = i
+        i += len(tok)
+        atom = _ORGANIC.get(tok)
+        if atom is None:
+            if tok[0] == "[" and len(tok) > 1:
+                element, arom, h, charge = _parse_bracket(tok[1:-1], off)
+                atom = (element, arom, h, charge, True)
+            elif tok.isdigit() or tok[0] == "%":
+                if prev < 0:
+                    raise UnmatchedRingClosure("ring closure before any atom", off)
+                if tok == "%":
+                    raise UnmatchedRingClosure("'%' needs two digits", off)
+                num = int(tok.lstrip("%"))
+                order = pending
+                pending = None
+                if num not in rings:
+                    rings[num] = (prev, order, off)
+                    continue
                 other, other_order, _ = rings.pop(num)
                 if order is not None and other_order is not None and order != other_order:
                     raise UnmatchedRingClosure(
-                        f"conflicting bond orders on ring closure {num}", i
-                    )
-                new_bond(other, prev, order if order is not None else other_order, i)
+                        f"conflicting bond orders on ring closure {num}", off)
+                if other == prev:
+                    raise UnmatchedRingClosure("ring closure bonds an atom to itself", off)
+                pair = (other, prev) if other < prev else (prev, other)
+                if parent[prev] == other or parent[other] == prev or pair in closures:
+                    raise UnmatchedRingClosure("duplicate bond between atom pair", off)
+                closures.add(pair)
+                bonds.append((other, prev, order if order is not None else other_order, off))
+                continue
+            elif tok == "(":
+                if prev < 0:
+                    raise UnbalancedParenthesis("branch opened before any atom", off)
+                branch_stack.append((prev, off))
+                continue
+            elif tok == ")":
+                if not branch_stack:
+                    raise UnbalancedParenthesis("unmatched ')'", off)
+                if pending is not None:
+                    raise UnknownAtomToken("dangling bond before ')'", pending_off)
+                prev = branch_stack.pop()[0]
+                continue
+            elif tok in _BOND_CHAR:
+                if pending is not None:
+                    raise UnknownAtomToken("two bond symbols in a row", off)
+                pending, pending_off = _BOND_CHAR[tok], off
+                continue
+            elif tok == ".":
+                if pending is not None:
+                    raise UnknownAtomToken("bond before fragment separator", pending_off)
+                prev = -1
+                continue
+            elif tok == "[":
+                raise UnknownAtomToken("unterminated bracket atom", off)
             else:
-                rings[num] = (prev, order, i)
-            i += tok_len
-            continue
-
-        # atom tokens
-        if c == "[":
-            end = s.find("]", i)
-            if end < 0:
-                raise UnknownAtomToken("unterminated bracket atom", i)
-            element, aromatic, h, charge = _parse_bracket(s[i + 1 : end], i)
-            tok_len = end - i + 1
-            from_bracket = True
-        elif s[i : i + 2] in _ORGANIC_TWO:
-            element, aromatic, h, charge = s[i : i + 2], False, 0, 0
-            tok_len = 2
-            from_bracket = False
-        elif c in _ORGANIC_ONE:
-            element, aromatic, h, charge = c, False, 0, 0
-            tok_len = 1
-            from_bracket = False
-        elif c in _AROMATIC_ORGANIC:
-            element, aromatic, h, charge = c.upper(), True, 0, 0
-            tok_len = 1
-            from_bracket = False
-        else:
-            raise UnknownAtomToken(f"unrecognized token {c!r}", i)
+                raise UnknownAtomToken(f"unrecognized token {tok!r}", off)
 
         idx = len(atoms)
-        atoms.append(Atom(element=element, formal_charge=charge,
-                          explicit_h=h, aromatic=aromatic))
-        atom_offsets.append(i)
-        bracketed.append(from_bracket)
-        if prev is not None:
-            order = pending[0] if pending is not None else None
-            new_bond(prev, idx, order, i)
+        atoms.append(atom)
+        offsets.append(off)
+        parent.append(prev)
+        if prev < 0:
+            depth.append(0)
+        else:
+            depth.append(depth[prev] + 1)
+            bonds.append((prev, idx, pending, off))
         pending = None
         prev = idx
-        i += tok_len
 
     if pending is not None:
-        raise UnknownAtomToken("dangling bond at end of input", pending[1])
+        raise UnknownAtomToken("dangling bond at end of input", pending_off)
     if branch_stack:
         raise UnbalancedParenthesis("unclosed '('", branch_stack[-1][1])
     if rings:
@@ -330,40 +353,102 @@ def parse_smiles(s):
     if not atoms:
         raise UnknownAtomToken("no atoms in SMILES", 0)
 
-    ring_bond = _find_ring_bonds(len(atoms), raw_bonds)
+    n = len(atoms)
+    elements, aromatic, hydrogens, charges, bracketed = map(list, zip(*atoms))
+    ring, n_components = _ring_bonds(parent, depth, bonds, closures)
 
-    bonds = []
-    for k, (a, b, order, offset) in enumerate(raw_bonds):
+    # one pass over the bonds: settle implicit orders, then sum each atom's
+    # degree and valence units and note its pi, double, aromatic and ring bonds
+    degree, units = [0] * n, [0] * n
+    pi_active, has_double, has_aromatic, atom_ring = ([False] * n for _ in range(4))
+    orders = []
+    for (a, b, order, off), in_ring in zip(bonds, ring):
         if order is None:
-            if atoms[a].aromatic and atoms[b].aromatic and ring_bond[k]:
-                order = "aromatic"
-            else:
-                order = "single"
-        if order == "aromatic" and not (atoms[a].aromatic and atoms[b].aromatic):
-            raise ValenceViolation("aromatic bond between non-aromatic atoms", offset)
-        bonds.append(Bond(a=a, b=b, order=order, in_ring=bool(ring_bond[k])))
+            order = _AROMATIC if aromatic[a] and aromatic[b] and in_ring else _SINGLE
+        elif order == _AROMATIC and not (aromatic[a] and aromatic[b]):
+            raise ValenceViolation("aromatic bond between non-aromatic atoms", off)
+        orders.append(order)
+        unit = _UNITS[order]
+        degree[a] += 1
+        degree[b] += 1
+        units[a] += unit
+        units[b] += unit
+        if order:
+            pi_active[a] = pi_active[b] = True
+            if order == _DOUBLE:
+                has_double[a] = has_double[b] = True
+            elif order == _AROMATIC:
+                has_aromatic[a] = has_aromatic[b] = True
+        if in_ring:
+            atom_ring[a] = atom_ring[b] = True
 
-    _assign_hydrogens_and_audit(atoms, bonds, bracketed, atom_offsets)
-    _mark_rings_and_conjugation(atoms, bonds)
+    _assign_hydrogens_and_audit(elements, charges, hydrogens, aromatic, bracketed, offsets,
+                                units, has_double, has_aromatic)
 
-    graph = MolGraph(atoms=atoms, bonds=bonds, directed_edges=_directed_edges(bonds))
-    return graph
+    # conjugation: every aromatic bond, a double or triple bond next to
+    # another pi atom, a single bond between two pi atoms
+    bond_a = [bd[0] for bd in bonds]
+    bond_b = [bd[1] for bd in bonds]
+    pi_neighbors = [0] * n
+    for a, b in zip(bond_a, bond_b):
+        pi_neighbors[a] += pi_active[b]
+        pi_neighbors[b] += pi_active[a]
+    conjugated = [
+        order == _AROMATIC or (pi_neighbors[a] + pi_neighbors[b] > 2 if order
+                               else pi_active[a] and pi_active[b])
+        for a, b, order in zip(bond_a, bond_b, orders)
+    ]
+
+    return MolGraph(
+        atoms=list(map(Atom, elements, charges, hydrogens, aromatic, atom_ring, degree)),
+        bonds=list(map(Bond, bond_a, bond_b, [BOND_ORDERS[o] for o in orders], conjugated,
+                       ring)),
+        n_components=n_components,
+    )
 
 
-def _find_ring_bonds(n_atoms, raw_bonds):
-    """Mark each bond as ring (True) or bridge (False) via iterative DFS."""
+def _ring_bonds(parent, depth, bonds, closures):
+    """(ring flag per bond, component count) of a parsed graph.
+
+    When every ring closure stays inside its '.'-separated fragment, the
+    chain forest spans each fragment, and a bond is in a ring exactly when
+    it is a closure or lies on a closure's path through the tree; each
+    fragment is one component. Otherwise the bond graph is searched.
+    """
+    roots = [x for x, p in enumerate(parent) if p < 0]
+    if len(roots) > 1 and closures:
+        fragment = []
+        for x, p in enumerate(parent):
+            fragment.append(x if p < 0 else fragment[p])
+        if any(fragment[a] != fragment[b] for a, b in closures):
+            return _find_ring_bonds(len(parent), bonds)
+    on_cycle = [False] * len(parent)  # the chain bond from the atom to its parent
+    for u, v in closures:
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            on_cycle[u] = True
+            u = parent[u]
+    return [parent[b] != a or on_cycle[b] for a, b, _, _ in bonds], len(roots)
+
+
+def _find_ring_bonds(n_atoms, bonds):
+    """(ring flag per bond, component count) by an iterative DFS that marks
+    each bond as ring or bridge and counts its roots."""
     adj = [[] for _ in range(n_atoms)]
-    for k, (a, b, _, _) in enumerate(raw_bonds):
+    for k, (a, b, _, _) in enumerate(bonds):
         adj[a].append((b, k))
         adj[b].append((a, k))
 
-    ring = [False] * len(raw_bonds)
+    ring = [False] * len(bonds)
     disc = [-1] * n_atoms
     low = [0] * n_atoms
     timer = 0
+    roots = 0
     for root in range(n_atoms):
         if disc[root] != -1:
             continue
+        roots += 1
         stack = [(root, -1, iter(adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
@@ -389,144 +474,158 @@ def _find_ring_bonds(n_atoms, raw_bonds):
                 low[u] = min(low[u], low[v])
                 if low[v] <= disc[u]:
                     ring[pedge] = True
-    return ring
+    return ring, roots
 
 
 def _order_value(order):
     return {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}[order]
 
 
-def _allowed_valences(atom):
-    base = VALENCES.get(atom.element)
-    if base is None:
-        return None  # unsupported element: no audit
-    q = atom.formal_charge
-    if atom.element in ("C", "Si", "H"):
-        shift = -abs(q)  # either charge sign removes a bonding electron pair
-    elif atom.element == "B":
-        shift = -q  # borate anions gain a bond, cations lose one
-    else:
-        shift = q  # N/O/S/P and halogens: charge adds or removes a bond
-    return tuple(max(0, v + shift) for v in base)
-
-
-def _assign_hydrogens_and_audit(atoms, bonds, bracketed, atom_offsets):
-    order_sum = [0.0] * len(atoms)
-    unit_sum = [0] * len(atoms)  # aromatic counted as one
-    has_aromatic = [False] * len(atoms)
-    has_double = [False] * len(atoms)
-    for b in bonds:
-        val = _order_value(b.order)
-        for end in (b.a, b.b):
-            order_sum[end] += val
-            unit_sum[end] += 1 if b.order == "aromatic" else int(val)
-            if b.order == "aromatic":
-                has_aromatic[end] = True
-            elif b.order == "double":
-                has_double[end] = True
-
-    for idx, atom in enumerate(atoms):
-        allowed = _allowed_valences(atom)
-        off = atom_offsets[idx]
+def _assign_hydrogens_and_audit(elements, charges, hydrogens, aromatic, bracketed, offsets,
+                                units, has_double, has_aromatic):
+    """Fill ``hydrogens`` of unbracketed atoms; check bracket atoms' valence."""
+    for idx, element in enumerate(elements):
+        allowed = _ALLOWED.get((element, charges[idx]))
+        unit = units[idx]
         if not bracketed[idx]:
-            if allowed is None:
-                raise UnknownAtomToken(f"element {atom.element} not supported", off)
-            if atom.aromatic:
-                need = unit_sum[idx] + (1 if atom.element in _AROMATIC_PI_BOND else 0)
+            need = unit
+            if aromatic[idx]:
+                need += element in _AROMATIC_PI_BOND
                 # no room for a ring pi bond: a pyrrole-type n gives its
                 # lone pair to the ring, a c(=O) its exocyclic double bond
-                if need > max(allowed) and (atom.element == "N" or has_double[idx]):
-                    need = unit_sum[idx]
+                if need > allowed[-1] and (element == "N" or has_double[idx]):
+                    need = unit
+            for v in allowed:
+                if v >= need:
+                    hydrogens[idx] = v - need
+                    break
             else:
-                need = unit_sum[idx]
-            fills = [v for v in allowed if v >= need]
-            if not fills:
                 raise ValenceViolation(
-                    f"{atom.element} with bond order sum {need} exceeds valence", off
+                    f"{element} with bond order sum {need} exceeds valence", offsets[idx]
                 )
-            atom.explicit_h = fills[0] - need
-        else:
-            if allowed is None:
-                continue  # 'other' elements: accept as written
-            total = unit_sum[idx] + atom.explicit_h
+        elif allowed is not None:  # other elements: accept as written
+            total = unit + hydrogens[idx]
             if has_aromatic[idx]:
                 ok = total in allowed or (total + 1) in allowed
             else:
-                ok = total <= max(allowed)
+                ok = total <= allowed[-1]
             if not ok:
                 raise ValenceViolation(
-                    f"[{atom.element}] total valence {total} not permitted", off
+                    f"[{element}] total valence {total} not permitted", offsets[idx]
                 )
 
 
-def _mark_rings_and_conjugation(atoms, bonds):
-    pi_active = [False] * len(atoms)
-    neighbors = [[] for _ in atoms]
-    for b in bonds:
-        neighbors[b.a].append(b.b)
-        neighbors[b.b].append(b.a)
-        if b.order in ("double", "triple", "aromatic"):
-            pi_active[b.a] = True
-            pi_active[b.b] = True
-        if b.in_ring:
-            atoms[b.a].in_ring = True
-            atoms[b.b].in_ring = True
-
-    for b in bonds:
-        if b.order == "aromatic":
-            b.conjugated = True
-        elif b.order in ("double", "triple"):
-            flank = [k for k in neighbors[b.a] + neighbors[b.b] if k not in (b.a, b.b)]
-            b.conjugated = any(pi_active[k] for k in flank)
-        else:
-            b.conjugated = pi_active[b.a] and pi_active[b.b]
-
-    for idx, atom in enumerate(atoms):
-        atom.degree = len(neighbors[idx])
+def _directed_edges(ends, bond_index):
+    """[2M x 4] directed edges of M bonds with ``ends`` [2 x M] and
+    molecule-local indices ``bond_index`` [M]: bond i yields a->b, then b->a."""
+    edges = np.empty((len(bond_index), 2, 4), dtype=np.int64)
+    edges[:, 0, :2] = ends.T
+    edges[:, 1, :2] = ends[::-1].T
+    edges[:, :, 2] = bond_index[:, None]
+    edges[:, 0, 3] = 2 * bond_index + 1
+    edges[:, 1, 3] = 2 * bond_index
+    return edges.reshape(-1, 4)
 
 
-def _directed_edges(bonds):
-    edges = np.zeros((2 * len(bonds), 4), dtype=np.int64)
-    for i, b in enumerate(bonds):
-        edges[2 * i] = (b.a, b.b, i, 2 * i + 1)
-        edges[2 * i + 1] = (b.b, b.a, i, 2 * i)
-    return edges
+@dataclass
+class GraphCodes:
+    """The atoms and bonds of a list of graphs, read once into int64 arrays.
+
+    Atoms and bonds follow the list, then each graph's own order; graph i
+    owns atoms ``atom_off[i]:atom_off[i+1]`` and bonds
+    ``bond_off[i]:bond_off[i+1]``.
+    """
+
+    element: np.ndarray  # [A] index into ELEMENT_ORDER, len(ELEMENT_ORDER) for others
+    degree: np.ndarray  # [A]
+    charge: np.ndarray  # [A]
+    hydrogens: np.ndarray  # [A]
+    aromatic: np.ndarray  # [A] 0/1
+    atom_ring: np.ndarray  # [A] 0/1
+    order: np.ndarray  # [M] index into BOND_ORDERS
+    conjugated: np.ndarray  # [M] 0/1
+    bond_ring: np.ndarray  # [M] 0/1
+    ends: np.ndarray  # [2 x M] molecule-local atom indices
+    components: np.ndarray  # [N]
+    atom_off: np.ndarray  # [N + 1]
+    bond_off: np.ndarray  # [N + 1]
+
+    def directed_edges(self):
+        """The graphs' directed edges stacked [2M x 4], molecule-local as
+        in ``MolGraph.directed_edges``."""
+        n_bonds = np.diff(self.bond_off)
+        local = np.arange(self.bond_off[-1]) - np.repeat(self.bond_off[:-1], n_bonds)
+        return _directed_edges(self.ends, local)
 
 
-def _one_hot(value, choices):
-    # trailing slot is the catch-all
-    vec = [0.0] * (len(choices) + 1)
-    try:
-        vec[choices.index(value)] = 1.0
-    except ValueError:
-        vec[-1] = 1.0
-    return vec
+class _ElementIndex(dict):
+    def __missing__(self, element):
+        return len(ELEMENT_ORDER)  # the trailing "other" slot
 
 
-def featurize(g):
-    """Populate atom_features [n x 33] and bond_features [m x 6] in place.
+_ELEMENT_INDEX = _ElementIndex((e, i) for i, e in enumerate(ELEMENT_ORDER))
+_ORDER_INDEX = {o: i for i, o in enumerate(BOND_ORDERS)}
+_ATOM_FIELDS = operator.attrgetter("degree", "formal_charge", "explicit_h", "aromatic",
+                                   "in_ring")
+_BOND_FIELDS = operator.attrgetter("conjugated", "in_ring", "a", "b")
+_ELEMENT = operator.attrgetter("element")
+_ORDER = operator.attrgetter("order")
+
+
+def _ints(values, count):
+    return np.fromiter(values, dtype=np.int64, count=count)
+
+
+def read_codes(graphs):
+    """GraphCodes of ``graphs``, reading each atom and bond once."""
+    atoms = list(chain.from_iterable(g.atoms for g in graphs))
+    bonds = list(chain.from_iterable(g.bonds for g in graphs))
+    n_atoms, n_bonds = len(atoms), len(bonds)
+    atom_cols = _ints(chain.from_iterable(map(_ATOM_FIELDS, atoms)), 5 * n_atoms)
+    bond_cols = _ints(chain.from_iterable(map(_BOND_FIELDS, bonds)), 4 * n_bonds)
+    atom_cols, bond_cols = atom_cols.reshape(-1, 5).T, bond_cols.reshape(-1, 4).T
+    counts = _ints(chain.from_iterable((len(g.atoms), len(g.bonds), g.n_components)
+                                       for g in graphs), 3 * len(graphs)).reshape(-1, 3)
+    offsets = np.zeros((len(graphs) + 1, 2), dtype=np.int64)
+    np.cumsum(counts[:, :2], axis=0, out=offsets[1:])
+    return GraphCodes(
+        element=_ints(map(_ELEMENT_INDEX.__getitem__, map(_ELEMENT, atoms)), n_atoms),
+        degree=atom_cols[0], charge=atom_cols[1], hydrogens=atom_cols[2],
+        aromatic=atom_cols[3], atom_ring=atom_cols[4],
+        order=_ints(map(_ORDER_INDEX.__getitem__, map(_ORDER, bonds)), n_bonds),
+        conjugated=bond_cols[0], bond_ring=bond_cols[1], ends=bond_cols[2:],
+        components=counts[:, 2], atom_off=offsets[:, 0], bond_off=offsets[:, 1],
+    )
+
+
+def fill_features(codes):
+    """(atom features [A x 33], bond features [M x 6]) of the graphs read
+    into ``codes``, one fancy-index assignment per one-hot field.
 
     Atom layout: element one-hot incl. other (14), degree 0-5 (6), formal
     charge -2..+2 incl. other (6), explicit hydrogens 0-4 clamped (5),
     aromatic flag (1), ring flag (1). Bond layout: order one-hot (4),
     conjugated (1), ring flag (1).
     """
-    af = np.zeros((len(g.atoms), ATOM_FEATURE_DIM))
-    for i, atom in enumerate(g.atoms):
-        elem = _one_hot(atom.element, list(ELEMENT_ORDER))
-        deg = [0.0] * 6
-        deg[min(atom.degree, 5)] = 1.0
-        chg = _one_hot(atom.formal_charge, [-2, -1, 0, 1, 2])
-        hyd = [0.0] * 5
-        hyd[min(atom.explicit_h, 4)] = 1.0
-        af[i] = elem + deg + chg + hyd + [float(atom.aromatic), float(atom.in_ring)]
+    rows = np.arange(len(codes.element))
+    af = np.zeros((len(rows), ATOM_FEATURE_DIM))
+    af[rows, codes.element] = 1.0
+    af[rows, 14 + np.minimum(codes.degree, 5)] = 1.0
+    charge = codes.charge
+    af[rows, 20 + np.where(np.abs(charge) <= 2, charge + 2, 5)] = 1.0
+    af[rows, 26 + np.minimum(codes.hydrogens, 4)] = 1.0
+    af[:, 31] = codes.aromatic
+    af[:, 32] = codes.atom_ring
 
-    bf = np.zeros((len(g.bonds), BOND_FEATURE_DIM))
-    for i, bond in enumerate(g.bonds):
-        bf[i, BOND_ORDERS.index(bond.order)] = 1.0
-        bf[i, 4] = float(bond.conjugated)
-        bf[i, 5] = float(bond.in_ring)
+    bf = np.zeros((len(codes.order), BOND_FEATURE_DIM))
+    bf[np.arange(len(bf)), codes.order] = 1.0
+    bf[:, 4] = codes.conjugated
+    bf[:, 5] = codes.bond_ring
+    return af, bf
 
-    g.atom_features = af
-    g.bond_features = bf
+
+def featurize(g):
+    """Populate ``g.atom_features`` [n x 33] and ``g.bond_features`` [m x 6]
+    in place with ``fill_features``; returns ``g``."""
+    g.atom_features, g.bond_features = fill_features(read_codes([g]))
     return g

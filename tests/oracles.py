@@ -1,0 +1,131 @@
+"""Per-graph reference implementations of featurization and the built-in
+descriptors, one Python loop per atom and bond.
+
+The package fills features and descriptors for a whole pack at once with
+numpy (``smiles.fill_features``, ``features.builtin_phys_matrix``); these
+loops state the same layouts one molecule at a time and are the oracles its
+bit-for-bit tests compare against.
+"""
+
+import numpy as np
+
+from mtlmolnet.features import ATOMIC_MASS, BUILTIN_DESCRIPTOR_NAMES, PHYS_DIM
+from mtlmolnet.smiles import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BOND_ORDERS, ELEMENT_ORDER
+
+_HALOGENS = {"F", "Cl", "Br", "I"}
+
+
+def _one_hot(value, choices):
+    # trailing slot is the catch-all
+    vec = [0.0] * (len(choices) + 1)
+    try:
+        vec[choices.index(value)] = 1.0
+    except ValueError:
+        vec[-1] = 1.0
+    return vec
+
+
+def features(g):
+    """(atom features [n x 33], bond features [m x 6]) of one parsed graph.
+
+    Atom layout: element one-hot incl. other (14), degree 0-5 (6), formal
+    charge -2..+2 incl. other (6), explicit hydrogens 0-4 clamped (5),
+    aromatic flag (1), ring flag (1). Bond layout: order one-hot (4),
+    conjugated (1), ring flag (1).
+    """
+    af = np.zeros((len(g.atoms), ATOM_FEATURE_DIM))
+    for i, atom in enumerate(g.atoms):
+        elem = _one_hot(atom.element, list(ELEMENT_ORDER))
+        deg = [0.0] * 6
+        deg[min(atom.degree, 5)] = 1.0
+        chg = _one_hot(atom.formal_charge, [-2, -1, 0, 1, 2])
+        hyd = [0.0] * 5
+        hyd[min(atom.explicit_h, 4)] = 1.0
+        af[i] = elem + deg + chg + hyd + [float(atom.aromatic), float(atom.in_ring)]
+
+    bf = np.zeros((len(g.bonds), BOND_FEATURE_DIM))
+    for i, bond in enumerate(g.bonds):
+        bf[i, BOND_ORDERS.index(bond.order)] = 1.0
+        bf[i, 4] = float(bond.conjugated)
+        bf[i, 5] = float(bond.in_ring)
+    return af, bf
+
+
+def directed_edges(g):
+    """[2m x 4] directed edges of one graph: bond i yields a->b, then b->a."""
+    edges = np.zeros((2 * len(g.bonds), 4), dtype=np.int64)
+    for i, b in enumerate(g.bonds):
+        edges[2 * i] = (b.a, b.b, i, 2 * i + 1)
+        edges[2 * i + 1] = (b.b, b.a, i, 2 * i)
+    return edges
+
+
+def _component_count(n_atoms, bonds):
+    parent = list(range(n_atoms))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in bonds:
+        ra, rb = find(b.a), find(b.b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(i) for i in range(n_atoms)})
+
+
+def phys_descriptors(g):
+    """The 16 built-in descriptors of one parsed graph, in the order of
+    BUILTIN_DESCRIPTOR_NAMES."""
+    atoms = g.atoms
+    bonds = g.bonds
+
+    weight = 0.0
+    for a in atoms:
+        weight += ATOMIC_MASS.get(a.element, 0.0)
+        weight += a.explicit_h * ATOMIC_MASS["H"]
+
+    heavy = sum(1 for a in atoms if a.element != "H")
+    ring_bonds = sum(1 for b in bonds if b.in_ring)
+    aromatic_atoms = sum(1 for a in atoms if a.aromatic)
+    rotatable = sum(
+        1 for b in bonds
+        if b.order == "single" and not b.in_ring
+        and atoms[b.a].degree >= 2 and atoms[b.b].degree >= 2
+    )
+    donors = sum(1 for a in atoms if a.element in ("N", "O") and a.explicit_h >= 1)
+    acceptors = sum(1 for a in atoms if a.element in ("N", "O"))
+    nitrogens = sum(1 for a in atoms if a.element == "N")
+    charge_sum = sum(a.formal_charge for a in atoms)
+    halogens = sum(1 for a in atoms if a.element in _HALOGENS)
+    hetero = sum(1 for a in atoms if a.element not in ("C", "H"))
+    degrees = [a.degree for a in atoms]
+    n_carbon = sum(1 for a in atoms if a.element == "C")
+
+    return np.array([
+        weight,
+        float(heavy),
+        float(ring_bonds),
+        float(aromatic_atoms),
+        float(rotatable),
+        float(donors),
+        float(acceptors),
+        float(charge_sum),
+        float(halogens),
+        float(hetero),
+        float(max(degrees)),
+        float(np.mean(degrees)),
+        aromatic_atoms / len(atoms),
+        float(nitrogens),
+        float(_component_count(len(atoms), bonds)),
+        0.2 * n_carbon - 0.4 * (acceptors),
+    ])
+
+
+def phys_block(g):
+    """The built-in descriptors zero-padded to the full 200-dim layout."""
+    vec = np.zeros(PHYS_DIM)
+    vec[: len(BUILTIN_DESCRIPTOR_NAMES)] = phys_descriptors(g)
+    return vec

@@ -138,6 +138,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             load_checkpoint(path)
 
+    def test_trailing_bytes_refused(self, tmp_path, capsys):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(1)), SPECS[:1])
+        need = len(path.read_bytes().split(b"\n", 2)[2])
+        with open(path, "ab") as fh:
+            fh.write(bytes(16))
+        assert_refused(path, tmp_path, capsys,
+                       match=f"blob has {need + 16} bytes, its layout needs {need}")
+
     def test_loaded_params_are_trainable(self, tmp_path):
         cfg = TrainConfig(variant="qw-mtl", hidden=4, ffn_hidden=3, depth=1)
         params = mdl.init_model(cfg, n_tasks=2)
