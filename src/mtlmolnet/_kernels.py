@@ -3,7 +3,11 @@
 ``scatter_add_rows`` computes ``out[index[i]] += src[i]`` and gives the same
 bits as ``np.add.at``: every destination row receives its source rows one
 at a time, in source-row order. It is pure numpy and much faster than
-``np.add.at``, whose per-element loop dominated training time.
+``np.add.at``, whose per-element loop dominated training time. It serves
+``autodiff.message`` (each step's incoming edge sums by ``dst``, and their
+gradient by ``src``) and ``autodiff.scatter_add`` (the atom readout's edge
+pooling and the molecule pooling), four calls per depth-3 forward and two
+more per backward.
 
 The sources are stable-sorted by destination, so each source gets a rank
 within its destination row. Pass ``k`` then adds the rank-``k`` source of

@@ -11,10 +11,13 @@ reverse topological order and accumulates gradients into every
 Every forward result is checked for NaN/Inf so numerical blowups fail at
 the op that produced them rather than corrupting a training run.
 Reductions accumulate sequentially in index order, so single-threaded
-results are bit-reproducible. ``scatter_add`` and the backward pass of
-``index_select`` aggregate rows with ``_kernels.scatter_add_rows``, a
-pure-numpy kernel that adds duplicate indices in row order and so matches
-``np.add.at`` bit for bit.
+results are bit-reproducible. ``scatter_add`` and ``message`` aggregate rows
+with ``_kernels.scatter_add_rows``, a pure-numpy kernel that adds duplicate
+indices in row order and so matches ``np.add.at`` bit for bit.
+
+``message`` and ``add_relu`` are the two nodes of one message-passing step,
+each with a hand-written backward: one array per node stays on the tape,
+not one per elementary op, and the bits are those of the elementary ops.
 
 A model's parameters live in a ``ParamStore``: one flat float64 vector
 whose reshaped views are the leaf Tensors' ``data``. ``Adam`` runs in place
@@ -294,30 +297,6 @@ def concat(tensors, axis=0):
     return _make(data, "concat", tuple(tensors), backward_fn)
 
 
-def index_select(x, index):
-    """Gather rows: out[i] = x[index[i]]. 2-D input only."""
-    x = _lift(x)
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"index_select expects a 2-D tensor, got {x.data.shape}")
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeMismatch(f"index_select index must be 1-D, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ShapeMismatch("index_select index out of range")
-    data = x.data[idx]
-    x_req = x.requires_grad
-    x_shape = x.data.shape
-
-    def backward_fn(g):
-        if not x_req:
-            return (None,)
-        acc = np.zeros(x_shape)
-        _kernels.scatter_add_rows(g, idx, acc)
-        return (acc,)
-
-    return _make(data, "index_select", (x,), backward_fn)
-
-
 def scatter_add(x, index, num_rows):
     """Scatter rows: out[index[i]] += x[i], out has ``num_rows`` rows.
 
@@ -353,6 +332,56 @@ def relu(x):
         return (g * (data > 0) if x_req else None,)
 
     return _make(data, "relu", (x,), backward_fn)
+
+
+def message(h, src, dst, rev, num_atoms):
+    """One directed-edge message step as one node: edge e (v->w) receives
+    the sum of the states of the edges pointing into v, less the state of
+    its own reverse edge, ``incoming[src[e]] - h[rev[e]]`` with
+    ``incoming = scatter_add(h, dst, num_atoms)``. ``rev`` must pair each
+    edge with its reverse (an involution).
+
+    Forward and backward give the bits of scatter_add, two row gathers and
+    sub. Both parents are ``h``, so the gradient through ``incoming`` and
+    the one through the reverse edge reach ``h.grad`` as two terms, in that
+    order; one combined term, or the other order, changes the last bits.
+    """
+    h = _lift(h)
+    n_edges = h.data.shape[0]
+    for idx, bound in ((src, num_atoms), (dst, num_atoms), (rev, n_edges)):
+        if idx.shape != (n_edges,) or (n_edges and (idx.min() < 0 or idx.max() >= bound)):
+            raise ShapeMismatch(f"message: an index does not fit {n_edges} edges "
+                                f"and {num_atoms} atoms")
+    incoming = np.zeros((num_atoms, h.data.shape[1]))
+    _kernels.scatter_add_rows(h.data, dst, incoming)
+    data = incoming[src]
+    np.subtract(data, h.data[rev], out=data)
+
+    def backward_fn(g):
+        grad_incoming = np.zeros((num_atoms, g.shape[1]))
+        _kernels.scatter_add_rows(g, src, grad_incoming)
+        # 0.0 - x has the bits, signed zeros included, of scattering -g
+        # into zeros by rev
+        return grad_incoming[dst], 0.0 - g[rev]
+
+    return _make(data, "message", (h, h), backward_fn)
+
+
+def add_relu(a, b):
+    """relu(a + b) for two arrays of one shape, as one node with one mask
+    for both gradients."""
+    a, b = _lift(a), _lift(b)
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"add_relu: {a.data.shape} vs {b.data.shape}")
+    data = np.add(a.data, b.data)
+    np.maximum(data, 0.0, out=data)
+    a_req, b_req = a.requires_grad, b.requires_grad
+
+    def backward_fn(g):
+        g = g * (data > 0)
+        return (g if a_req else None, g if b_req else None)
+
+    return _make(data, "add_relu", (a, b), backward_fn)
 
 
 def _logistic(xd):

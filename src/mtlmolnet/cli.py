@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -106,7 +107,10 @@ _CONFIG_KEYS = {**{key: TrainConfig.__dataclass_fields__[key].type for key in _T
                 **dict.fromkeys(("seeds", "data", "tasks", "phys", "qc", "out"), str)}
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` leaves
+    it unchanged and returns a new namespace each call."""
     parser = argparse.ArgumentParser(
         prog="mtlmolnet",
         description="multi-task molecular property prediction engine",

@@ -4,7 +4,10 @@ Hidden states live on directed bonds. Each edge (v->w) is initialised from
 the source atom and bond features; at every step it aggregates the states
 of edges pointing into v, excluding its own reverse edge (w->v), so
 information never bounces straight back. A final atom readout pools
-incoming edge states and a mean over atoms yields the fingerprint.
+incoming edge states and a mean over atoms yields the fingerprint. A step
+is two autodiff nodes, ``message`` (aggregate and subtract the reverse
+edge) and ``add_relu`` around the message matmul, in training and serving
+alike.
 
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
@@ -40,7 +43,6 @@ class EncoderParams:
     w_msg: Tensor
     w_out: Tensor
     depth: int = 3
-    hidden: int = 300
 
     def tensors(self):
         return [("encoder.w_in", self.w_in), ("encoder.w_msg", self.w_msg),
@@ -66,8 +68,7 @@ def init_weights(tensors, rng):
 def encoder_params(tensors, cfg):
     """EncoderParams over the ``encoder.*`` entries of a store's tensors."""
     return EncoderParams(w_in=tensors["encoder.w_in"], w_msg=tensors["encoder.w_msg"],
-                         w_out=tensors["encoder.w_out"], depth=cfg.depth,
-                         hidden=cfg.hidden)
+                         w_out=tensors["encoder.w_out"], depth=cfg.depth)
 
 
 def init_encoder_params(atom_dim, bond_dim, hidden, depth, rng):
@@ -208,9 +209,8 @@ def encode_batch(graphs, params, union=None):
     h0 = ad.relu(ad.matmul(edge_in, params.w_in))
     h = h0
     for _ in range(params.depth - 1):
-        incoming = ad.scatter_add(h, dst, n_atoms_total)
-        msg = ad.sub(ad.index_select(incoming, src), ad.index_select(h, rev))
-        h = ad.relu(ad.add(h0, ad.matmul(msg, params.w_msg)))
+        msg = ad.message(h, src, dst, rev, n_atoms_total)
+        h = ad.add_relu(h0, ad.matmul(msg, params.w_msg))
 
     pooled_edges = ad.scatter_add(h, dst, n_atoms_total)
     readout_in = ad.concat([Tensor(atom_feats), pooled_edges], axis=1)

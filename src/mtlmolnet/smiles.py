@@ -477,10 +477,6 @@ def _find_ring_bonds(n_atoms, bonds):
     return ring, roots
 
 
-def _order_value(order):
-    return {"single": 1.0, "double": 2.0, "triple": 3.0, "aromatic": 1.5}[order]
-
-
 def _assign_hydrogens_and_audit(elements, charges, hydrogens, aromatic, bracketed, offsets,
                                 units, has_double, has_aromatic):
     """Fill ``hydrogens`` of unbracketed atoms; check bracket atoms' valence."""

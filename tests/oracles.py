@@ -1,14 +1,21 @@
-"""Per-graph reference implementations of featurization and the built-in
-descriptors, one Python loop per atom and bond.
+"""Reference implementations that the package's fused or vectorised code
+is tested against bit for bit.
 
 The package fills features and descriptors for a whole pack at once with
-numpy (``smiles.fill_features``, ``features.builtin_phys_matrix``); these
-loops state the same layouts one molecule at a time and are the oracles its
-bit-for-bit tests compare against.
+numpy (``smiles.fill_features``, ``features.builtin_phys_matrix``); the
+per-graph loops here state the same layouts one molecule at a time, one
+Python loop per atom and bond.
+
+The encoder runs a message-passing step as two autodiff nodes with
+hand-written backwards (``autodiff.message``, ``autodiff.add_relu``);
+``message_composed`` and ``add_relu_composed`` state the same step with one
+elementary op per node: scatter_add, two row gathers, sub, add and relu.
 """
 
 import numpy as np
 
+from mtlmolnet import _kernels
+from mtlmolnet import autodiff as ad
 from mtlmolnet.features import ATOMIC_MASS, BUILTIN_DESCRIPTOR_NAMES, PHYS_DIM
 from mtlmolnet.smiles import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BOND_ORDERS, ELEMENT_ORDER
 
@@ -129,3 +136,28 @@ def phys_block(g):
     vec = np.zeros(PHYS_DIM)
     vec[: len(BUILTIN_DESCRIPTOR_NAMES)] = phys_descriptors(g)
     return vec
+
+
+def gather_rows(x, index):
+    """out[i] = x[index[i]] as an autodiff op; its backward scatters the
+    gradient into zeros with ``_kernels.scatter_add_rows``."""
+    idx = np.asarray(index, dtype=np.int64)
+    shape = x.data.shape
+
+    def backward_fn(g):
+        acc = np.zeros(shape)
+        _kernels.scatter_add_rows(g, idx, acc)
+        return (acc,)
+
+    return ad._make(x.data[idx], "gather_rows", (x,), backward_fn)
+
+
+def message_composed(h, src, dst, rev, num_atoms):
+    """``autodiff.message`` from elementary ops."""
+    incoming = ad.scatter_add(h, dst, num_atoms)
+    return ad.sub(gather_rows(incoming, src), gather_rows(h, rev))
+
+
+def add_relu_composed(a, b):
+    """``autodiff.add_relu`` from elementary ops."""
+    return ad.relu(ad.add(a, b))

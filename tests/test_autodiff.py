@@ -13,12 +13,18 @@ from mtlmolnet.autodiff import (
     ShapeMismatch,
     TapeConsumed,
     Tensor,
+    add_relu,
     clamp,
     concat,
-    index_select,
+    message,
     pow_elem,
     scatter_add,
 )
+
+
+# directed edges of the path 0-1-2: 0->1, 1->0, 1->2, 2->1
+PATH_SRC, PATH_DST, PATH_REV = (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]),
+                                np.array([1, 0, 3, 2]))
 
 
 def finite_diff(f, x, h=1e-6):
@@ -63,10 +69,31 @@ class TestForward:
         out = scatter_add(src, np.array([1, 1, 0]), 2)
         np.testing.assert_array_equal(out.data, [[10.0, 20.0], [4.0, 6.0]])
 
-    def test_index_select(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        out = index_select(x, np.array([2, 0, 2]))
-        np.testing.assert_array_equal(out.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+    def test_message(self):
+        # the path 0-1-2: edges 0->1, 1->0, 1->2, 2->1, each reverse beside it
+        h = Tensor(np.array([[1.0], [10.0], [100.0], [1000.0]]))
+        out = message(h, PATH_SRC, PATH_DST, PATH_REV, 3)
+        # into 0: 10; into 1: 1 + 1000; into 2: 100
+        np.testing.assert_array_equal(out.data, [[10.0 - 10.0], [1001.0 - 1.0],
+                                                 [1001.0 - 1000.0], [100.0 - 100.0]])
+
+    def test_message_index_checked(self):
+        h = Tensor(np.ones((4, 1)))
+        for src, dst, rev in [(PATH_SRC + 1, PATH_DST, PATH_REV),
+                              (PATH_SRC, PATH_DST - 2, PATH_REV),
+                              (PATH_SRC, PATH_DST, PATH_REV[:3])]:
+            with pytest.raises(ShapeMismatch):
+                message(h, src, dst, rev, 3)
+
+    def test_message_without_edges(self):
+        out = message(Tensor(np.zeros((0, 3))), *(np.zeros(0, dtype=np.int64),) * 3, 2)
+        assert out.data.shape == (0, 3)
+
+    def test_add_relu(self):
+        out = add_relu(Tensor([[1.0, -2.0, 0.5]]), Tensor([[-3.0, 1.0, 0.5]]))
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0, 1.0]])
+        with pytest.raises(ShapeMismatch):
+            add_relu(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
     def test_softplus_zero(self):
         assert ad.softplus(Tensor(0.0)).data == pytest.approx(np.log(2.0), abs=1e-15)
@@ -165,6 +192,19 @@ class TestBackward:
         assert recorded._parents == (x, w)
         assert recorded._backward_fn is not None
 
+    def test_fused_step_records_nothing_inside_no_grad(self):
+        h = Tensor(np.ones((4, 2)), requires_grad=True)
+        with ad.no_grad():
+            msg = message(h, PATH_SRC, PATH_DST, PATH_REV, 3)
+            out = add_relu(h, msg)
+        for t in (msg, out):
+            assert t._parents == ()
+            assert t._backward_fn is None
+            assert not t.requires_grad
+        recorded = message(h, PATH_SRC, PATH_DST, PATH_REV, 3)
+        assert recorded._parents == (h, h)
+        assert add_relu(h, recorded)._parents == (h, recorded)
+
     def test_no_grad_keeps_the_values(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -217,22 +257,43 @@ class TestBackward:
         np.testing.assert_allclose(a.grad, num_a, atol=1e-6)
         np.testing.assert_allclose(b.grad, num_b, atol=1e-6)
 
-    def test_scatter_and_gather_grads(self):
+    def test_scatter_add_grad(self):
         rng = np.random.default_rng(1)
         x0 = rng.normal(size=(5, 3))
         idx = np.array([0, 2, 2, 1, 0])
-        w = rng.normal(size=(5, 3))  # weights make the reduction non-trivial
+        w = rng.normal(size=(3, 3))  # weights make the reduction non-trivial
 
         def f(v):
             t = Tensor(v, requires_grad=True)
-            out = scatter_add(t, idx, 3)
-            gathered = index_select(out, np.array([2, 2, 0]))
-            return t, (gathered * Tensor(w[:3])).sum()
+            return t, (scatter_add(t, idx, 3) * Tensor(w)).sum()
 
         t, loss = f(x0)
         loss.backward()
         num = finite_diff(lambda v: f(v)[1].data.item(), x0)
         np.testing.assert_allclose(t.grad, num, atol=1e-6)
+
+    def test_message_grad(self):
+        # a ring of four atoms with a tail atom on atom 0
+        bonds = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
+        src = np.array([a for b in bonds for a in b])
+        dst = np.array([a for b in bonds for a in b[::-1]])
+        rev = np.arange(len(src)) ^ 1
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(len(src), 3))
+        w = rng.normal(size=x0.shape)
+        check_grad(lambda t: message(t, src, dst, rev, 5) * Tensor(w), x0)
+
+    def test_add_relu_grads(self):
+        rng = np.random.default_rng(5)
+        a0 = rng.uniform(-2.0, 2.0, size=(4, 3))
+        b0 = rng.uniform(-2.0, 2.0, size=(4, 3))
+        b0[np.abs(a0 + b0) < 0.05] += 0.2  # keep away from the kink
+        w = rng.normal(size=a0.shape)
+        check_grad(lambda t: add_relu(t, Tensor(b0)) * Tensor(w), a0)
+        check_grad(lambda t: add_relu(Tensor(a0), t) * Tensor(w), b0)
+        a = Tensor(a0, requires_grad=True)
+        add_relu(a, Tensor(b0)).sum().backward()
+        np.testing.assert_array_equal(a.grad, a0 + b0 > 0)
 
     def test_broadcast_add_bias(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)

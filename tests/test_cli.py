@@ -138,6 +138,16 @@ class TestTrainCommand:
         _, _, paths = cli.merge_config(parser.parse_args(["train"]))
         assert paths["out"] is None  # cmd_train writes to runs then
 
+    def test_main_calls_parse_independently(self, monkeypatch):
+        # one parser serves every call in a process; no flag carries over
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "train", lambda args: seen.append(args) or 0)
+        assert cli.main(["train", "--epochs", "2", "--out", "flagged"]) == 0
+        assert cli.main(["train"]) == 0
+        assert (seen[0].epochs, seen[0].out) == (2, "flagged")
+        assert (seen[1].epochs, seen[1].out) == (None, None)
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("flags", [

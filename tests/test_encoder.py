@@ -30,7 +30,7 @@ class TestEncode:
         g = graph("C")
         fp = encode(g, p)
         expected = np.maximum(
-            np.concatenate([g.atom_features[0], np.zeros(p.hidden)]) @ p.w_out.data,
+            np.concatenate([g.atom_features[0], np.zeros(p.w_msg.data.shape[0])]) @ p.w_out.data,
             0.0,
         )
         np.testing.assert_array_equal(fp.z, expected)
@@ -40,7 +40,7 @@ class TestEncode:
         for t in (p.w_in, p.w_msg, p.w_out):
             t.data[:] = 0.0
         fp = encode(graph("CCO"), p)
-        np.testing.assert_array_equal(fp.z, np.zeros(p.hidden))
+        np.testing.assert_array_equal(fp.z, np.zeros(p.w_msg.data.shape[0]))
 
     def test_relabeled_graphs_match(self):
         p = params()
@@ -75,7 +75,7 @@ class TestEncode:
     def test_shape_mismatch(self):
         p = params(hidden=16)
         bad = EncoderParams(w_in=p.w_in, w_msg=Tensor(np.zeros((8, 8))),
-                            w_out=p.w_out, depth=3, hidden=16)
+                            w_out=p.w_out, depth=3)
         with pytest.raises(ShapeMismatch):
             encode(graph("CCO"), bad)
 

@@ -56,8 +56,9 @@ class TestScatterAdd:
         assert_bitwise_equal(out, ref)
 
     def test_encode_batch_index_arrays_match_add_at_bitwise(self, monkeypatch):
-        # every scatter of one forward and backward pass: dst and molecule
-        # pooling forward, src and rev from the index_select backwards
+        # every scatter of one forward and backward pass: dst (two message
+        # steps, the readout) and molecule pooling forward, src from the two
+        # message backwards
         graphs = [featurize(parse_smiles(s)) for s in
                   ("CC(=O)Oc1ccccc1C(=O)O", "c1ccc2ccccc2c1", "CCO", "C",
                    "Cn1cnc2c1c(=O)n(C)c(=O)n2C", "ClC(Cl)(Cl)Cl")]
@@ -72,7 +73,7 @@ class TestScatterAdd:
 
         monkeypatch.setattr(_kernels, "scatter_add_rows", record)
         ad.tensor_sum(encoder.encode_batch(graphs, params)).backward()
-        assert len(calls) == 8
+        assert len(calls) == 6
         for src, index, out in calls:
             ref = out.copy()
             np.add.at(ref, index, src)
