@@ -542,7 +542,7 @@ def cmd_analyze(args):
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
                                    "the PCA needs at least two")
         mols = [table.smiles[r] for r in view.rows]
-        pack = enc.pack_graphs(dat.parse_molecules(mols), featurize=True)
+        pack = enc.pack_graphs(dat.parse_molecules(mols))
     out_dir = _out_dir(args.out)
 
     last_epoch = max(row["epoch"] for row in history)

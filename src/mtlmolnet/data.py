@@ -191,20 +191,19 @@ def parse_molecules(smiles_list):
 
 
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
-    """Parse SMILES, pack and featurize them, and build their raw
-    descriptor blocks.
+    """Parse SMILES, pack them, and build their raw descriptor blocks.
 
     The one preparation path of training, evaluation, prediction and bench;
     analysis, which reads no descriptors, packs ``parse_molecules`` alone.
-    Only parsing runs per molecule: the features are filled for the whole
-    pack at once, and the built-in descriptors are computed from the pack's
-    codes. Descriptors are the built-in set unless an external 200-dim file
-    is given; quantum values come from ``qc_path`` or stay fully masked.
-    Returns ``(pack, blocks)``: the graphs featurized into one GraphPack
-    (``pack.graphs``, whose arrays are views into it) and one
+    Only parsing runs per molecule: ``enc.pack_graphs`` fills the features
+    for the whole pack at once, and the built-in descriptors are computed
+    from the pack's codes. Descriptors are the built-in set unless an
+    external 200-dim file is given; quantum values come from ``qc_path`` or
+    stay fully masked. Returns ``(pack, blocks)``: the GraphPack of the
+    parsed graphs (``pack.graphs``, whose arrays are views into it) and one
     unstandardized FeatureBlock per molecule.
     """
-    pack = enc.pack_graphs(parse_molecules(smiles_list), featurize=True)
+    pack = enc.pack_graphs(parse_molecules(smiles_list))
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, smiles_list)
     else:

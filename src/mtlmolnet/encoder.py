@@ -11,10 +11,11 @@ alike.
 
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
-them one at a time because no edges cross molecules. A table's graphs are
-packed and featurized once, all together, into a ``GraphPack`` of flat
-arrays (like Chemprop's ``BatchMolGraph``), and a batch's union is a
-vectorised gather from it.
+them one at a time because no edges cross molecules. ``pack_graphs`` is
+the one place graphs become arrays: a table's parsed graphs are read and
+featurized once, all together, into a ``GraphPack`` of flat arrays (like
+Chemprop's ``BatchMolGraph``), and a batch's union is a vectorised gather
+from it. A list encoded without a union is packed the same way.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import smiles
-from .autodiff import ShapeMismatch, Tensor
+from .autodiff import Tensor
 from .config import TrainConfig
 
 
@@ -99,35 +100,35 @@ class UnionGraph:
 
 @dataclass
 class GraphPack:
-    """Featurized molecule graphs packed once into flat arrays with offsets.
+    """Molecule graphs packed once into flat arrays with offsets.
 
-    Row i owns atoms ``atom_off[i]:atom_off[i+1]``, directed edges
-    ``edge_off[i]:edge_off[i+1]`` and bonds ``bond_off[i]:bond_off[i+1]``.
-    ``edges`` holds each graph's ``directed_edges``, so its columns are
-    molecule-local (src atom, dst atom, bond, reverse edge). A pack that
-    ``pack_graphs`` featurized keeps the integer ``codes`` its features were
-    filled from, which the built-in descriptors read too.
+    Row i owns atoms ``atom_off[i]:atom_off[i+1]`` and bonds
+    ``bond_off[i]:bond_off[i+1]``; each bond yields two directed edges, so
+    its directed edges are ``2 * bond_off[i]:2 * bond_off[i+1]``. ``edges``
+    holds each graph's ``directed_edges``, so its columns are
+    molecule-local (src atom, dst atom, bond, reverse edge). ``codes`` are
+    the integer codes the features were filled from, which the built-in
+    descriptors read too.
     """
 
     graphs: list
     atom_features: np.ndarray  # [A x F_a]
     bond_features: np.ndarray  # [M x F_b], one row per bond
-    edges: np.ndarray  # [E x 4]
+    edges: np.ndarray  # [2M x 4]
     atom_off: np.ndarray  # [N + 1]
-    edge_off: np.ndarray  # [N + 1]
     bond_off: np.ndarray  # [N + 1]
-    codes: smiles.GraphCodes = None
+    codes: smiles.GraphCodes
 
     def gather(self, rows):
         """The UnionGraph of the graphs at ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
         n_atoms = self.atom_off[rows + 1] - self.atom_off[rows]
-        n_edges = self.edge_off[rows + 1] - self.edge_off[rows]
+        n_edges = 2 * (self.bond_off[rows + 1] - self.bond_off[rows])
         atom_base = np.cumsum(n_atoms) - n_atoms  # first batch atom of each row
         edge_base = np.cumsum(n_edges) - n_edges
         atom_idx = (np.repeat(self.atom_off[rows] - atom_base, n_atoms)
                     + np.arange(n_atoms.sum()))
-        edge_idx = (np.repeat(self.edge_off[rows] - edge_base, n_edges)
+        edge_idx = (np.repeat(2 * self.bond_off[rows] - edge_base, n_edges)
                     + np.arange(n_edges.sum()))
         e = self.edges[edge_idx]
         atom_shift = np.repeat(atom_base, n_edges)
@@ -143,46 +144,26 @@ class GraphPack:
         )
 
 
-def _offsets(counts):
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+def pack_graphs(graphs):
+    """Pack parsed MolGraphs into one GraphPack.
 
-
-def pack_graphs(graphs, featurize=False):
-    """Pack MolGraphs into one GraphPack.
-
-    With ``featurize`` the graphs' atoms and bonds are read once into
-    ``smiles.GraphCodes``, the pack's features and edges are filled from
-    those codes for all graphs at once, and each graph's arrays are rebound
-    as views into the pack, so a table's features are never held twice.
-    Otherwise the graphs must be featurized already, their arrays are
-    copied in and they are left unchanged.
+    The graphs' atoms and bonds are read once into ``smiles.GraphCodes``,
+    and the pack's features and edges are filled from those codes for all
+    graphs at once. Each graph's ``atom_features``, ``bond_features`` and
+    ``directed_edges`` are then rebound as views into the pack, so a
+    table's features are never held twice; a graph's arrays are views into
+    the last pack built from it.
     """
     if not graphs:
         raise EmptyMolecule("empty graph batch")
     for g in graphs:
         if not g.atoms:
             raise EmptyMolecule("graph has no atoms")
-        if not featurize and (g.atom_features is None or g.bond_features is None):
-            raise ShapeMismatch("graph is not featurized")
-    if not featurize:
-        try:
-            atom_features = np.concatenate([g.atom_features for g in graphs])
-            bond_features = np.concatenate([g.bond_features for g in graphs])
-        except ValueError as err:
-            raise ShapeMismatch(f"graphs do not fit one pack: {err}") from None
-        return GraphPack(graphs=graphs, atom_features=atom_features,
-                         bond_features=bond_features,
-                         edges=np.concatenate([g.directed_edges for g in graphs]),
-                         atom_off=_offsets([g.n_atoms for g in graphs]),
-                         edge_off=_offsets([len(g.directed_edges) for g in graphs]),
-                         bond_off=_offsets([g.n_bonds for g in graphs]))
-
     codes = smiles.read_codes(graphs)
     atom_features, bond_features = smiles.fill_features(codes)
     ao, bo = codes.atom_off, codes.bond_off
     pack = GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
-                     edges=codes.directed_edges(), atom_off=ao, edge_off=2 * bo, bond_off=bo,
-                     codes=codes)
+                     edges=codes.directed_edges(), atom_off=ao, bond_off=bo, codes=codes)
     for g, a0, a1, b0, b1 in zip(graphs, ao.tolist(), ao[1:].tolist(), bo.tolist(),
                                  bo[1:].tolist()):
         g.atom_features = atom_features[a0:a1]
@@ -192,7 +173,7 @@ def pack_graphs(graphs, featurize=False):
 
 
 def encode_batch(graphs, params, union=None):
-    """Encode a list of featurized MolGraphs into a [B x H] Tensor.
+    """Encode a list of parsed MolGraphs into a [B x H] Tensor.
 
     ``union`` is the graphs' UnionGraph gathered from a GraphPack that
     holds them; without it the list is packed here.
@@ -221,7 +202,7 @@ def encode_batch(graphs, params, union=None):
 
 
 def encode(g, params):
-    """Encode one featurized MolGraph into a Fingerprint (vector of length H)."""
+    """Encode one parsed MolGraph into a Fingerprint (vector of length H)."""
     z = encode_batch([g], params)
     return Fingerprint(z=z.data[0].copy())
 

@@ -13,6 +13,7 @@ and stay exactly zero. The mask channels are never standardized.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -192,6 +193,7 @@ def load_qc_descriptors(path, molecules):
 
     Returns (qc [N x 4], qc_mask [N x 4]). Molecules absent from the file,
     and empty cells, get mask 0 and value 0; no molecule is ever dropped.
+    A cell that is not a finite number is a MalformedRow.
     """
     header, rows = _read_csv_rows(path)
     expected = ["smiles", *QC_COLUMNS]
@@ -210,9 +212,12 @@ def load_qc_descriptors(path, molecules):
             if cell == "":
                 continue
             try:
-                vals[j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise MalformedRow(f"{path}:{lineno}: bad number {cell!r}") from None
+            if not math.isfinite(value):
+                raise MalformedRow(f"{path}:{lineno}: non-finite value {cell!r}")
+            vals[j] = value
             mask[j] = 1.0
         if smi in table:
             warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
@@ -232,7 +237,8 @@ def load_external_phys(path, molecules):
     """Load a full 200-dim physicochemical vector per molecule.
 
     Unlike the quantum block there is no mask channel, so every requested
-    molecule must be present: absence is a hard MissingMolecule error.
+    molecule must be present: absence is a hard MissingMolecule error, and
+    a cell that is not a finite number is a MalformedRow.
     """
     header, rows = _read_csv_rows(path)
     if len(header) != PHYS_DIM + 1 or header[0] != "smiles":
@@ -253,6 +259,9 @@ def load_external_phys(path, molecules):
             table[smi] = np.array([float(c) for c in row[1:]])
         except ValueError:
             raise MalformedRow(f"{path}:{lineno}: non-numeric descriptor") from None
+        bad = np.flatnonzero(~np.isfinite(table[smi]))
+        if len(bad):
+            raise MalformedRow(f"{path}:{lineno}: non-finite value {row[1 + bad[0]]!r}")
 
     out = np.zeros((len(molecules), PHYS_DIM))
     for i, smi in enumerate(molecules):

@@ -33,6 +33,14 @@ class ConstantInput(MetricError):
     pass
 
 
+def _tie_runs(sorted_scores):
+    """(first, last) index arrays of each run of equal values in a sorted
+    array."""
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
+    return (np.concatenate([[0], ends + 1]),
+            np.concatenate([ends, [len(sorted_scores) - 1]]))
+
+
 def auroc(scores, labels):
     """Rank-based AUROC with average ranks for tied scores."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -43,16 +51,10 @@ def auroc(scores, labels):
         raise SingleClass("AUROC needs both classes present")
 
     order = np.argsort(scores, kind="stable")
+    first, last = _tie_runs(scores[order])
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average 1-based rank over the tie run [i, j]
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # average 1-based rank over each tie run [first, last]
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
 
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
@@ -74,22 +76,11 @@ def auprc(scores, labels):
         raise NoPositives("AUPRC needs at least one positive")
 
     order = np.argsort(-scores, kind="stable")
-    ordered = labels[order]
-    sorted_scores = scores[order]
-    ap = 0.0
-    hits = 0
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        block_pos = int((ordered[i : j + 1] == 1).sum())
-        hits += block_pos
-        if block_pos:
-            ap += block_pos * hits / (j + 1)
-        i = j + 1
-    return ap / n_pos
+    first, last = _tie_runs(scores[order])
+    block_pos = np.add.reduceat((labels[order] == 1).astype(np.int64), first)
+    # cumsum adds the runs' terms in order, as a running sum would
+    ap = np.cumsum(block_pos * np.cumsum(block_pos) / (last + 1))[-1]
+    return float(ap / n_pos)
 
 
 def pearson(x, y):

@@ -306,7 +306,7 @@ def train(table, cfg, progress=None):
 
 
 def predict_blocks(graphs, blocks, params, cfg):
-    """Probabilities [N x T] for featurized graphs and their standardized
+    """Probabilities [N x T] for parsed graphs and their standardized
     blocks; ``predict_rows`` on a pack of the graphs."""
     return predict_rows(enc.pack_graphs(graphs), np.arange(len(graphs)),
                         feat.feature_matrix(blocks, use_qc=cfg.use_qc), params)

@@ -10,6 +10,9 @@ The encoder runs a message-passing step as two autodiff nodes with
 hand-written backwards (``autodiff.message``, ``autodiff.add_relu``);
 ``message_composed`` and ``add_relu_composed`` state the same step with one
 elementary op per node: scatter_add, two row gathers, sub, add and relu.
+
+``metrics.auroc`` and ``metrics.auprc`` find the runs of tied scores with
+numpy; ``auroc_loop`` and ``auprc_loop`` walk them one score at a time.
 """
 
 import numpy as np
@@ -161,3 +164,49 @@ def message_composed(h, src, dst, rev, num_atoms):
 def add_relu_composed(a, b):
     """``autodiff.add_relu`` from elementary ops."""
     return ad.relu(ad.add(a, b))
+
+
+def auroc_loop(scores, labels):
+    """``metrics.auroc``, walking each tie run with a Python loop."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        # average 1-based rank over the tie run [i, j]
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = ranks[labels == 1].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def auprc_loop(scores, labels):
+    """``metrics.auprc``, walking each tie run with a Python loop."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    ordered = labels[order]
+    sorted_scores = scores[order]
+    ap = 0.0
+    hits = 0
+    i = 0
+    n = len(order)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        block_pos = int((ordered[i : j + 1] == 1).sum())
+        hits += block_pos
+        if block_pos:
+            ap += block_pos * hits / (j + 1)
+        i = j + 1
+    return ap / n_pos

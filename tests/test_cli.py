@@ -78,6 +78,19 @@ class TestTrainCommand:
         rc = cli.main(["train", *flags])
         assert rc == cli.EXIT_DATA
 
+    def test_non_finite_qc_cell_exits_3(self, tmp_path, capsys):
+        flags = small_flags(tmp_path)
+        qc = Path(flags[flags.index("--qc") + 1])
+        lines = qc.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "nan"
+        lines[2] = ",".join(cells)
+        qc.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train", *flags])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {qc}:3: non-finite value 'nan'"]
+
     @pytest.mark.parametrize("epochs, passes", [("3", 3), ("0", 1)])
     def test_one_validation_pass_per_epoch(self, tmp_path, monkeypatch, capsys, epochs,
                                            passes):

@@ -66,11 +66,14 @@ class TestEncode:
         with pytest.raises(EmptyMolecule):
             encode(g, p)
 
-    def test_unfeaturized_rejected(self):
+    def test_parsed_graph_encodes_like_its_featurized_twin(self):
         p = params()
-        g = smiles.parse_smiles("CCO")
-        with pytest.raises(ShapeMismatch):
-            encode(g, p)
+        for smi in ("CCO", "C", "CC(=O)Nc1ccc(O)cc1", "[Na+].[Cl-]"):
+            parsed = smiles.parse_smiles(smi)
+            assert parsed.atom_features is None
+            z = encode(parsed, p).z
+            np.testing.assert_array_equal(z.view(np.int64),
+                                          encode(graph(smi), p).z.view(np.int64))
 
     def test_shape_mismatch(self):
         p = params(hidden=16)

@@ -142,6 +142,16 @@ class TestQcLoading:
             qc, _ = feat.load_qc_descriptors(p, ["CCO"])
         assert qc[0, 0] == 1.0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_cell_names_line_and_cell(self, tmp_path, cell):
+        p = tmp_path / "qc.csv"
+        p.write_text("smiles,qc_dipole,qc_gap,qc_nelec,qc_energy\n"
+                     "CCO,1.0,2.0,3.0,4.0\n"
+                     f"CCN,1.0,,{cell},4.0\n")
+        with pytest.raises(feat.MalformedRow,
+                           match=f"qc.csv:3: non-finite value '{cell.strip()}'$"):
+            feat.load_qc_descriptors(p, ["CCO"])
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "qc.csv"
         p.write_text("smiles,dipole,gap,nelec,energy\nCCO,1,2,3,4\n")
@@ -189,6 +199,15 @@ class TestExternalPhys:
         self._write(p, ["CCO," + ",".join(["0"] * 200), "", "",
                         "CCN," + ",".join(["x"] * 200)])
         with pytest.raises(feat.MalformedRow, match=":5: non-numeric"):
+            feat.load_external_phys(p, ["CCO"])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line_and_cell(self, tmp_path, cell):
+        p = tmp_path / "phys.csv"
+        self._write(p, ["CCO," + ",".join(["0"] * 200),
+                        "CCN," + ",".join(["1"] * 150 + [cell] + ["2"] * 49)])
+        with pytest.raises(feat.MalformedRow,
+                           match=f"phys.csv:3: non-finite value '{cell}'$"):
             feat.load_external_phys(p, ["CCO"])
 
     def test_wrong_column_count(self, tmp_path):

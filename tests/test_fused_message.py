@@ -30,7 +30,7 @@ BATCH = 50
 def pack():
     rng = np.random.default_rng(13)
     pool = [m.smiles for m in molgen.molecules(rng, 500, 3, 40)] + EDGE_CASES
-    return encoder.pack_graphs([smiles.parse_smiles(s) for s in pool], featurize=True)
+    return encoder.pack_graphs([smiles.parse_smiles(s) for s in pool])
 
 
 def batches(pack):

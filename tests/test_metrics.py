@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mtlmolnet.metrics import (
     ConstantInput,
     MetricsReport,
@@ -100,6 +101,21 @@ class TestAuprc:
         assert 0.0 < ap <= 1.0
         prevalence = labels.sum() / n
         assert auprc(np.full(n, 0.5), labels) == pytest.approx(prevalence, abs=1e-12)
+
+
+def test_tie_runs_match_the_loops_bitwise():
+    rng = np.random.default_rng(7)
+    for trial in range(2000):
+        n = int(rng.integers(2, 700 if trial % 100 == 0 else 40))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        # few distinct values give long tie runs; many give none
+        scores = (rng.integers(0, int(rng.integers(1, 2 * n)), size=n) / 7.0
+                  if trial % 2 else rng.random(n))
+        a, b = auroc(scores, labels), oracles.auroc_loop(scores, labels)
+        assert type(a) is type(b) and float(a).hex() == float(b).hex()
+        a, b = auprc(scores, labels), oracles.auprc_loop(scores, labels)
+        assert type(a) is type(b) is float and a.hex() == b.hex()
 
 
 class TestPearson:

@@ -109,8 +109,6 @@ class TestGather:
             pack_graphs([])
         with pytest.raises(EmptyMolecule, match="no atoms"):
             pack_graphs([graph("CC"), smiles.MolGraph(atoms=[], bonds=[])])
-        with pytest.raises(ad.ShapeMismatch, match="not featurized"):
-            pack_graphs([smiles.parse_smiles("CCO")])
 
 
 class TestEncodeGathered:

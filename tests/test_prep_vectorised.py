@@ -1,7 +1,7 @@
 """The pack-level fill against the per-graph oracles, bit for bit.
 
-``pack_graphs(featurize=True)`` reads a whole list of graphs into integer
-codes once and fills features, edges and built-in descriptors with numpy;
+``pack_graphs`` reads a whole list of graphs into integer codes once and
+fills features, edges and built-in descriptors with numpy;
 ``tests/oracles.py`` loops over one graph's atoms and bonds at a time. Every
 float must have the same bits (compared as int64 views), over a seeded pool
 of benchmark molecules and the edge cases the fill has to get right.
@@ -101,3 +101,13 @@ def test_graph_arrays_share_memory_with_the_pack(prepared):
     assert len(pack.graphs) == len(smis)
     assert pack.atom_off[-1] == len(pack.atom_features) == len(pack.codes.element)
     assert pack.bond_off[-1] == len(pack.bond_features) == len(pack.codes.order)
+
+
+def test_pack_of_parsed_graphs_matches_pack_of_featurized_copies():
+    smis = EDGE_CASES + pool()[:300]
+    parsed = pack_graphs([smiles.parse_smiles(s) for s in smis])
+    featurized = pack_graphs([smiles.featurize(smiles.parse_smiles(s)) for s in smis])
+    for name in ("atom_features", "bond_features", "edges", "atom_off", "bond_off"):
+        assert_bits(getattr(parsed, name), getattr(featurized, name))
+    for name, codes in vars(parsed.codes).items():
+        assert_bits(codes, getattr(featurized.codes, name))
