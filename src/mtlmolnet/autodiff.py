@@ -4,7 +4,10 @@ A small eager engine: each operation computes its result with numpy and,
 when an input tracks gradients, records a backward closure on the implicit
 tape (the operation graph). ``Tensor.backward()`` walks the graph once in
 reverse topological order and accumulates gradients into every
-``requires_grad`` leaf. Operations whose inputs all have
+``requires_grad`` leaf. The walk frees each node once it has passed it
+(its gradient, parents and closure), so only leaves keep ``grad``, and a
+second backward through any node of a consumed tape raises
+``TapeConsumed``. Operations whose inputs all have
 ``requires_grad=False`` record nothing, nor does any operation run under
 ``no_grad()``, as scoring and embedding do.
 
@@ -78,29 +81,32 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad ancestor of this scalar.
+        """Populate ``grad`` on every requires_grad leaf below this scalar.
 
-        Raises NotScalar for non-scalar tensors and TapeConsumed on a second
-        backward through the same root.
+        The walk frees the tape as it goes: each node is popped off the
+        topological order, and its gradient, parents and closure are taken
+        off it before the closure runs. So a node's output and gradient are
+        freed once nothing else holds them, and only leaves keep ``grad``.
+        Raises NotScalar for a non-scalar root and TapeConsumed when the
+        tape below this root holds a node an earlier backward freed.
         """
         if self.data.size != 1:
             raise NotScalar(f"backward root must be scalar, got shape {self.data.shape}")
-        if self._consumed:
-            raise TapeConsumed("backward already ran from this tensor")
-        self._consumed = True
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            fn = node._backward_fn
-            if fn is None or node.grad is None:
+        while order:
+            node = order.pop()
+            fn, parents, g = node._backward_fn, node._parents, node.grad
+            if fn is None:
                 continue
-            for parent, g in zip(node._parents, fn(node.grad)):
-                if g is None:
+            node._backward_fn, node._parents, node.grad = None, (), None
+            node._consumed = True
+            if g is None:
+                continue
+            for parent, pg in zip(parents, fn(g)):
+                if pg is None:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
-            # release the closure so intermediate arrays can be collected
-            node._backward_fn = None
-            node._parents = ()
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # operator sugar over the module-level functions
     def __add__(self, other):
@@ -132,6 +138,8 @@ def _toposort(root):
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise TapeConsumed("backward already ran through this tape")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:

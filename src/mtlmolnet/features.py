@@ -251,17 +251,18 @@ def load_external_phys(path, molecules):
         if len(row) != PHYS_DIM + 1:
             raise WrongColumnCount(f"{path}:{lineno}: expected {PHYS_DIM + 1} fields")
         smi = row[0]
+        try:
+            vals = np.array([float(c) for c in row[1:]])
+        except ValueError:
+            raise MalformedRow(f"{path}:{lineno}: non-numeric descriptor") from None
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise MalformedRow(f"{path}:{lineno}: non-finite value {row[1 + bad[0]]!r}")
         if smi in table:
             warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
                           DuplicateSmiles)
             continue
-        try:
-            table[smi] = np.array([float(c) for c in row[1:]])
-        except ValueError:
-            raise MalformedRow(f"{path}:{lineno}: non-numeric descriptor") from None
-        bad = np.flatnonzero(~np.isfinite(table[smi]))
-        if len(bad):
-            raise MalformedRow(f"{path}:{lineno}: non-finite value {row[1 + bad[0]]!r}")
+        table[smi] = vals
 
     out = np.zeros((len(molecules), PHYS_DIM))
     for i, smi in enumerate(molecules):

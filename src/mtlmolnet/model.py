@@ -263,10 +263,10 @@ def train(table, cfg, progress=None):
         try:
             for batch in data_mod.make_batches(train_view, cfg.batch_size, rng,
                                                features=features):
-                optimizer.zero_grad()
                 loss, parts = batch_loss(batch, params, cfg)
                 loss.backward()
                 optimizer.step()
+                optimizer.zero_grad()  # no leaf gradient outlives its step
                 present = parts["r"] > 0
                 loss_sums[present] += parts["task_loss"][present]
                 loss_counts[present] += 1

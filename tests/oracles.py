@@ -13,6 +13,10 @@ elementary op per node: scatter_add, two row gathers, sub, add and relu.
 
 ``metrics.auroc`` and ``metrics.auprc`` find the runs of tied scores with
 numpy; ``auroc_loop`` and ``auprc_loop`` walk them one score at a time.
+
+``Tensor.backward`` frees the tape as it walks it; ``backward_keep_tape``
+walks it in the same order and keeps every node's closure, parents and
+gradient.
 """
 
 import numpy as np
@@ -164,6 +168,18 @@ def message_composed(h, src, dst, rev, num_atoms):
 def add_relu_composed(a, b):
     """``autodiff.add_relu`` from elementary ops."""
     return ad.relu(ad.add(a, b))
+
+
+def backward_keep_tape(root):
+    """``Tensor.backward`` of a scalar root, freeing nothing."""
+    order = ad._toposort(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward_fn is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+            if g is not None:
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def auroc_loop(scores, labels):

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,9 @@ from mtlmolnet.autodiff import (
     pow_elem,
     scatter_add,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import backward_keep_tape  # noqa: E402
 
 
 # directed edges of the path 0-1-2: 0->1, 1->0, 1->2, 2->1
@@ -165,6 +172,18 @@ class TestBackward:
         y.backward()
         with pytest.raises(TapeConsumed):
             y.backward()
+
+    def test_backward_through_a_consumed_tape_raises(self):
+        x = Tensor(3.0, requires_grad=True)
+        y = x * x
+        z = y * 2.0
+        z.backward()
+        assert x.grad == 12.0
+        with pytest.raises(TapeConsumed):
+            y.backward()
+        with pytest.raises(TapeConsumed):
+            (y * 3.0).backward()
+        assert x.grad == 12.0 and y.grad is None
 
     def test_shared_leaf_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -314,6 +333,70 @@ class TestBackward:
         x = Tensor([-1.0, 0.5, 2.0], requires_grad=True)
         clamp(x, 0.0, 1.0).sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+def small_tape():
+    """(root, leaves, intermediates) of a tape with message-passing steps,
+    a shared node, a broadcast bias and a concat."""
+    rng = np.random.default_rng(7)
+    h0, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((4, 3), (3, 3), (3,)))
+    inner = []
+
+    def keep(t):
+        inner.append(t)
+        return t
+
+    h = h0
+    for _ in range(2):
+        msg = keep(message(h, PATH_SRC, PATH_DST, PATH_REV, 3))
+        h = keep(add_relu(h0, keep(ad.matmul(msg, w))))
+    pre = keep(ad.add(keep(ad.matmul(h, w)), b))
+    y = keep(ad.mul(keep(ad.softplus(pre)), h))
+    z = keep(concat([h, y], axis=1))
+    root = keep(ad.add(keep(ad.tensor_sum(z)), keep(ad.tensor_sum(keep(ad.mul(y, 0.5))))))
+    return root, (h0, w, b), inner
+
+
+class TestReleasedTape:
+    def test_only_leaves_keep_grad(self):
+        root, leaves, inner = small_tape()
+        root.backward()
+        for t in inner:
+            assert t.grad is None and t._parents == () and t._backward_fn is None
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_leaf_grads_match_a_kept_tape_bitwise(self):
+        root, leaves, _ = small_tape()
+        root.backward()
+        kept_root, kept_leaves, kept_inner = small_tape()
+        backward_keep_tape(kept_root)
+        assert all(t.grad is not None for t in kept_inner)
+        for leaf, kept in zip(leaves, kept_leaves):
+            assert leaf.grad.view(np.int64).tolist() == kept.grad.view(np.int64).tolist()
+
+    def test_backward_peak_stays_near_the_tape(self):
+        # traced heap of a 20-op chain over 1000x100 arrays (800 kB each,
+        # x86-64, numpy 2): tape 24.0 MB; backward peak 18.5 MB above it
+        # while every node and gradient stayed alive, 1.8 MB once freed
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(1000, 100)), requires_grad=True)
+        w = Tensor(rng.normal(size=(100, 100)) * 0.1, requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = x
+            for i in range(20):
+                h = ad.relu(ad.matmul(h, w)) if i % 2 else ad.add(h, x)
+            loss = h.sum()
+            del h
+            tape = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < tape + 4 * x.data.nbytes, (tape, peak)
 
 
 @settings(max_examples=30, deadline=None)

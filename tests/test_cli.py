@@ -458,6 +458,20 @@ class TestPhysSource:
         embedded = [row[0] for row in csv.reader((out_dir / "embeddings.csv").open())]
         assert val_smiles in embedded[1:]
 
+    def test_malformed_duplicate_row_exits_3(self, tmp_path, capsys):
+        flags = small_flags(tmp_path, epochs="1")
+        data = Path(flags[flags.index("--data") + 1])
+        table_smiles = [line.split(",")[0] for line in data.read_text().splitlines()[1:]]
+        phys = tmp_path / "phys.csv"
+        write_phys_csv(phys, table_smiles)
+        lineno = len(phys.read_text().splitlines()) + 1
+        with phys.open("a") as fh:
+            fh.write(table_smiles[0] + "," + ",".join(["nan"] * 200) + "\n")
+        rc = cli.main(["train", *flags, "--phys", str(phys)])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {phys}:{lineno}: non-finite value 'nan'"]
+
     def test_builtin_checkpoint_refuses_external(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")
         assert cli.main(["train", *flags]) == 0

@@ -210,6 +210,22 @@ class TestExternalPhys:
                            match=f"phys.csv:3: non-finite value '{cell}'$"):
             feat.load_external_phys(p, ["CCO"])
 
+    def test_duplicate_warns_first_wins(self, tmp_path):
+        p = tmp_path / "phys.csv"
+        self._write(p, ["CCO," + ",".join(["1"] * 200), "CCO," + ",".join(["9"] * 200)])
+        with pytest.warns(feat.DuplicateSmiles, match="phys.csv:3: duplicate"):
+            out = feat.load_external_phys(p, ["CCO"])
+        np.testing.assert_array_equal(out, np.ones((1, 200)))
+
+    @pytest.mark.parametrize("cell, message", [("nan", "non-finite value 'nan'$"),
+                                               ("x", "non-numeric descriptor$")])
+    def test_malformed_duplicate_refused(self, tmp_path, cell, message):
+        # a duplicate is validated before it is skipped, as in the qc loader
+        p = tmp_path / "phys.csv"
+        self._write(p, ["CCO," + ",".join(["0"] * 200), "CCO," + ",".join([cell] * 200)])
+        with pytest.raises(feat.MalformedRow, match=f"phys.csv:3: {message}"):
+            feat.load_external_phys(p, ["CCO"])
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "phys.csv"
         header = "smiles," + ",".join(f"d{i}" for i in range(199))

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
+from mtlmolnet import autodiff as ad
 from mtlmolnet import data as dat
 from mtlmolnet import model as mdl
 from mtlmolnet import smiles
@@ -373,6 +374,44 @@ class TestTrain:
         assert len(h1) == len(h2)
         for a, b in zip(h1, h2):
             assert a == b
+
+    def test_no_parameter_gradient_between_steps(self, tmp_path, monkeypatch):
+        # a step's gradients are dropped once Adam has read them: none is
+        # held while the next batch is gathered or during validation
+        table = toy_table(tmp_path)
+        models, held, stepped = [], [], []
+        init, batches, evaluate, step = (mdl.init_model, dat.make_batches,
+                                         mdl.evaluate_split, ad.Adam.step)
+
+        def graded():
+            return [name for name, t in models[0].named_tensors() if t.grad is not None]
+
+        def init_model(*args):
+            models.append(init(*args))
+            return models[-1]
+
+        def make_batches(*args, **kwargs):
+            for batch in batches(*args, **kwargs):
+                held.append(graded())
+                yield batch
+            held.append(graded())
+
+        def evaluate_split(*args):
+            held.append(graded())
+            return evaluate(*args)
+
+        def adam_step(self):
+            stepped.append(graded())
+            step(self)
+
+        monkeypatch.setattr(mdl, "init_model", init_model)
+        monkeypatch.setattr(dat, "make_batches", make_batches)
+        monkeypatch.setattr(mdl, "evaluate_split", evaluate_split)
+        monkeypatch.setattr(ad.Adam, "step", adam_step)
+        train(table, small_cfg(epochs=2))
+        assert len(stepped) == 8 and all(stepped)
+        assert len(held) == 12 and not any(held)
+        assert graded() == []
 
     def test_uniform_variant_weights_binary(self, tmp_path):
         table = toy_table(tmp_path)
