@@ -204,6 +204,8 @@ def merge_config(args):
             raise ConfigError("--seeds must list at least one seed")
     else:
         seeds = [_default_seed()]
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
 
     paths = {k: values.pop(k, None) for k in ("data", "tasks", "phys", "qc", "out")}
     try:

@@ -53,6 +53,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta_min", "beta_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta_min > self.beta_max:
             raise ValueError(f"beta_min {self.beta_min} exceeds beta_max {self.beta_max}")
         for name, dim in (("atom_dim", smiles.ATOM_FEATURE_DIM),

@@ -184,10 +184,19 @@ def load_dataset(path, specs):
 
 
 def parse_molecules(smiles_list):
-    """The parsed graphs of a non-empty list of SMILES."""
+    """The parsed graphs of a non-empty list of SMILES. A refusal keeps its
+    type and offset, and its message names the molecule's 1-based position
+    and its SMILES."""
     if not smiles_list:
         raise EmptyDataset("no molecules to prepare")
-    return [smiles.parse_smiles(s) for s in smiles_list]
+    graphs = []
+    for i, s in enumerate(smiles_list, 1):
+        try:
+            graphs.append(smiles.parse_smiles(s))
+        except smiles.SmilesError as err:
+            err.args = (f"molecule {i} ({s!r}): {err}",)
+            raise
+    return graphs
 
 
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):

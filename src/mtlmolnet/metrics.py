@@ -137,7 +137,6 @@ class MetricsReport:
     """Per-task aggregation across runs: mean and population std."""
 
     rows: list  # (task, metric, mean, std)
-    raw: dict  # task -> list of scores
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -168,14 +167,12 @@ def aggregate(runs, metrics=None):
             if task not in tasks:
                 tasks.append(task)
     rows = []
-    raw = {}
     for task in tasks:
         vals = [run[task] for run in runs if run.get(task) is not None]
-        raw[task] = vals
         name = (metrics or {}).get(task, "score")
         if vals:
             arr = np.asarray(vals, dtype=np.float64)
             rows.append((task, name, float(arr.mean()), float(arr.std())))
         else:
             rows.append((task, name, float("nan"), float("nan")))
-    return MetricsReport(rows=rows, raw=raw)
+    return MetricsReport(rows=rows)

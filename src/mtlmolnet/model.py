@@ -9,7 +9,10 @@ where r_t is the task's share of the batch's valid labels. The exponents
 log_beta_t are ordinary parameters updated by the same optimizer as the
 network; tasks with no labels in a batch get w_t = 0 and contribute
 nothing. The clamp matters: since every r_t < 1, an unbounded exponent
-would drive all weights to zero, minimizing the total loss trivially.
+would drive all weights to zero, minimizing the total loss trivially. The
+loss's derivative in log_beta_t, r_t ** beta_t * ln(r_t) * L_t times the
+slope of beta_t, is never positive, so gradient descent can only raise each
+beta_t until beta_max stops it.
 
 With uniform weighting, w_t is 1 for every task present in the batch.
 A model's parameters are views into one ``ParamStore`` vector, so the best

@@ -24,10 +24,14 @@ Parse errors carry the byte offset of the offending token.
 
 ``parse_smiles`` is the one per-molecule step: it tokenizes with one
 compiled regex (as in the SMILES tokenizer of Schwaller et al., ACS Cent.
-Sci. 2019), finds ring bonds on the spanning tree that the SMILES itself
-writes down, and sums each atom's degree and valence in one pass over the
-bonds, which the hydrogen audit and the conjugation marking then read. Everything
-after it works on many graphs at once: ``read_codes`` reads their atoms and
+Sci. 2019) and reads each bracket atom with a second one, whose parts all
+are optional so that where a match stops names the refusal. One marking
+pass finds the ring bonds: each non-tree bond marks its path through a
+spanning forest, the chain forest that the SMILES itself writes down, or a
+breadth-first one when a ring closure joins '.'-separated fragments. It
+then sums each atom's degree and valence in one pass over the bonds, which
+the hydrogen audit and the conjugation marking read. Everything after it
+works on many graphs at once: ``read_codes`` reads their atoms and
 bonds once into integer arrays, and ``fill_features`` builds the one-hot
 features of all of them with one fancy-index assignment per field, as
 Chemprop's ``BatchMolGraph`` builds a batch's arrays in one go.
@@ -68,11 +72,24 @@ BOND_FEATURE_DIM = 6
 # one token per match: a bracket atom, a two-letter organic atom, a %nn ring
 # label, or any single character
 _TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%[0-9][0-9]|.", re.S)
-# unbracketed atom tokens -> (element, aromatic, hydrogens, charge, bracketed)
-_ORGANIC = {e: (e, False, 0, 0, False)
-            for e in ("B", "C", "N", "O", "P", "S", "F", "I", "Cl", "Br")}
-_ORGANIC.update((e, (e.upper(), True, 0, 0, False)) for e in ("b", "c", "n", "o", "p", "s"))
-_AROMATIC_ORGANIC = {"b", "c", "n", "o", "p", "s"}
+# atom tokens -> (element, aromatic, hydrogens, charge, bracketed): the
+# organic subset, and each bracket atom after its first parse (up to a
+# bound), so that a repeated bracket atom costs one lookup
+_ATOM_TOKENS = {e: (e, False, 0, 0, False)
+                for e in ("B", "C", "N", "O", "P", "S", "F", "I", "Cl", "Br")}
+_ATOM_TOKENS.update((e, (e.upper(), True, 0, 0, False)) for e in ("b", "c", "n", "o", "p", "s"))
+_MAX_ATOM_TOKENS = 4096
+# the inside of a bracket atom; every part is optional, so where a match
+# stops names the part that is malformed
+_BRACKET = re.compile(r"""
+    (?P<isotope>[0-9]*)                          # ignored
+    (?: (?P<element>[A-Z][a-gi-z]?)              # "CH" is C with one H
+      | (?P<aromatic>se|as|[bcnops]) )?
+    @*                                           # chirality, ignored
+    (?: H (?P<h>[0-9]*) )?
+    (?: (?P<sign>[+-]) (?P<charge>[0-9]+|(?P=sign)*) )?  # "+2" or "++"
+    (?P<atom_class>:[0-9]*)?                     # ignored, but needs a number
+""", re.X)
 # aromatic atoms whose ring participation includes one double bond
 _AROMATIC_PI_BOND = {"C", "N", "P"}
 
@@ -183,69 +200,30 @@ class MolGraph:
 
 def _parse_bracket(body, offset):
     """Parse the inside of a bracket atom -> (element, aromatic, h, charge)."""
-    i = 0
-    n = len(body)
-    while i < n and body[i].isdigit():  # isotope, accepted and ignored
-        i += 1
-    if i >= n:
-        raise UnknownAtomToken("bracket atom lacks an element symbol", offset)
-    aromatic = False
-    if body[i].isupper():
-        element = body[i]
-        i += 1
-        if i < n and body[i].islower() and body[i] != "h":
-            element += body[i]
-            i += 1
-    elif body[i].islower():
-        two = body[i : i + 2]
-        if two == "se" or two == "as":
-            element = two.capitalize()
-            i += 2
-        elif body[i] in _AROMATIC_ORGANIC:
-            element = body[i].upper()
-            i += 1
-        else:
+    m = _BRACKET.match(body)
+    _, element, aromatic, h, sign, charge, atom_class = m.groups()
+    if element is None and aromatic is None:
+        i = m.end("isotope")
+        if i == len(body):
+            raise UnknownAtomToken("bracket atom lacks an element symbol", offset)
+        if body[i].islower():
             raise UnknownAtomToken(f"unknown aromatic symbol {body[i]!r}", offset)
-        aromatic = True
-    else:
         raise UnknownAtomToken(f"bad bracket atom content {body!r}", offset)
-    while i < n and body[i] == "@":  # chirality, ignored
-        i += 1
-    explicit_h = 0
-    if i < n and body[i] == "H":
-        i += 1
-        digits = ""
-        while i < n and body[i].isdigit():
-            digits += body[i]
-            i += 1
-        explicit_h = int(digits) if digits else 1
-    charge = 0
-    if i < n and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        ch = body[i]
-        i += 1
-        digits = ""
-        while i < n and body[i].isdigit():
-            digits += body[i]
-            i += 1
-        if digits:
-            charge = sign * int(digits)
-        else:
-            charge = sign
-            while i < n and body[i] == ch:
-                charge += sign
-                i += 1
-    if i < n and body[i] == ":":  # atom class, ignored
-        i += 1
-        if i >= n or not body[i].isdigit():
-            raise UnknownAtomToken(f"bad atom class in {body!r}", offset)
-        while i < n and body[i].isdigit():
-            i += 1
-    if i != n:
-        raise UnknownAtomToken(f"unparsed bracket content {body[i:]!r}", offset)
-    if not (-4 <= charge <= 4):
-        raise UnknownAtomToken(f"formal charge {charge} out of range", offset)
-    return element, aromatic, explicit_h, charge
+    if atom_class == ":":
+        raise UnknownAtomToken(f"bad atom class in {body!r}", offset)
+    if m.end() != len(body):
+        raise UnknownAtomToken(f"unparsed bracket content {body[m.end():]!r}", offset)
+    if sign is None:
+        charge = 0
+    else:
+        charge = int(charge) if charge.isdigit() else len(charge) + 1
+        if sign == "-":
+            charge = -charge
+        if not (-4 <= charge <= 4):
+            raise UnknownAtomToken(f"formal charge {charge} out of range", offset)
+    if aromatic is not None:
+        element = aromatic.capitalize()
+    return element, aromatic is not None, 0 if h is None else int(h or 1), charge
 
 
 def parse_smiles(s):
@@ -276,11 +254,12 @@ def parse_smiles(s):
     for tok in _TOKEN.findall(s):
         off = i
         i += len(tok)
-        atom = _ORGANIC.get(tok)
+        atom = _ATOM_TOKENS.get(tok)
         if atom is None:
             if tok[0] == "[" and len(tok) > 1:
-                element, arom, h, charge = _parse_bracket(tok[1:-1], off)
-                atom = (element, arom, h, charge, True)
+                atom = (*_parse_bracket(tok[1:-1], off), True)
+                if len(_ATOM_TOKENS) < _MAX_ATOM_TOKENS:
+                    _ATOM_TOKENS[tok] = atom
             elif tok.isdigit() or tok[0] == "%":
                 if prev < 0:
                     raise UnmatchedRingClosure("ring closure before any atom", off)
@@ -410,71 +389,48 @@ def parse_smiles(s):
 def _ring_bonds(parent, depth, bonds, closures):
     """(ring flag per bond, component count) of a parsed graph.
 
-    When every ring closure stays inside its '.'-separated fragment, the
-    chain forest spans each fragment, and a bond is in a ring exactly when
-    it is a closure or lies on a closure's path through the tree; each
-    fragment is one component. Otherwise the bond graph is searched.
+    A bond is in a ring exactly when it is not on the spanning forest or
+    lies on the forest path that a non-forest bond closes. When every ring
+    closure stays inside its '.'-separated fragment, the chain forest spans
+    each fragment and each fragment is one component; otherwise a
+    breadth-first spanning forest of the bond graph takes its place.
     """
-    roots = [x for x, p in enumerate(parent) if p < 0]
-    if len(roots) > 1 and closures:
+    if closures and parent.count(-1) > 1:
         fragment = []
         for x, p in enumerate(parent):
             fragment.append(x if p < 0 else fragment[p])
         if any(fragment[a] != fragment[b] for a, b in closures):
-            return _find_ring_bonds(len(parent), bonds)
-    on_cycle = [False] * len(parent)  # the chain bond from the atom to its parent
+            parent, depth, closures = _spanning_forest(len(parent), bonds)
+    on_cycle = [False] * len(parent)  # the forest bond from the atom to its parent
     for u, v in closures:
         while u != v:
             if depth[u] < depth[v]:
                 u, v = v, u
             on_cycle[u] = True
             u = parent[u]
-    return [parent[b] != a or on_cycle[b] for a, b, _, _ in bonds], len(roots)
+    ring = [on_cycle[b] if parent[b] == a else on_cycle[a] if parent[a] == b else True
+            for a, b, _, _ in bonds]
+    return ring, parent.count(-1)
 
 
-def _find_ring_bonds(n_atoms, bonds):
-    """(ring flag per bond, component count) by an iterative DFS that marks
-    each bond as ring or bridge and counts its roots."""
-    adj = [[] for _ in range(n_atoms)]
-    for k, (a, b, _, _) in enumerate(bonds):
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-
-    ring = [False] * len(bonds)
-    disc = [-1] * n_atoms
-    low = [0] * n_atoms
-    timer = 0
-    roots = 0
+def _spanning_forest(n_atoms, bonds):
+    """(parent, depth, non-forest atom pairs) of a breadth-first spanning
+    forest of the bond graph; a root's parent is -1."""
+    neighbors = [[] for _ in range(n_atoms)]
+    for a, b, _, _ in bonds:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    parent, depth = [None] * n_atoms, [0] * n_atoms
     for root in range(n_atoms):
-        if disc[root] != -1:
-            continue
-        roots += 1
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
-            for w, k in it:
-                if k == pedge:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, k, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-                ring[k] = True  # back edge closes a cycle
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] <= disc[u]:
-                    ring[pedge] = True
-    return ring, roots
+        if parent[root] is None:
+            parent[root] = -1
+            queue = [root]
+            for u in queue:
+                for w in neighbors[u]:
+                    if parent[w] is None:
+                        parent[w], depth[w] = u, depth[u] + 1
+                        queue.append(w)
+    return parent, depth, [(a, b) for a, b, _, _ in bonds if parent[b] != a and parent[a] != b]
 
 
 def _assign_hydrogens_and_audit(elements, charges, hydrogens, aromatic, bracketed, offsets,

@@ -17,6 +17,11 @@ numpy; ``auroc_loop`` and ``auprc_loop`` walk them one score at a time.
 ``Tensor.backward`` frees the tape as it walks it; ``backward_keep_tape``
 walks it in the same order and keeps every node's closure, parents and
 gradient.
+
+``smiles.parse_smiles`` reads a bracket atom with one regex and marks ring
+bonds on a spanning forest; ``parse_bracket_loop`` reads the bracket one
+character at a time, and ``ring_bonds_dfs`` finds the ring bonds and the
+components with Tarjan's bridge search.
 """
 
 import numpy as np
@@ -24,7 +29,8 @@ import numpy as np
 from mtlmolnet import _kernels
 from mtlmolnet import autodiff as ad
 from mtlmolnet.features import ATOMIC_MASS, BUILTIN_DESCRIPTOR_NAMES, PHYS_DIM
-from mtlmolnet.smiles import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BOND_ORDERS, ELEMENT_ORDER
+from mtlmolnet.smiles import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BOND_ORDERS, ELEMENT_ORDER,
+                              UnknownAtomToken)
 
 _HALOGENS = {"F", "Cl", "Br", "I"}
 
@@ -226,3 +232,116 @@ def auprc_loop(scores, labels):
             ap += block_pos * hits / (j + 1)
         i = j + 1
     return ap / n_pos
+
+
+def parse_bracket_loop(body, offset):
+    """``smiles._parse_bracket``, one character at a time."""
+    i = 0
+    n = len(body)
+    while i < n and body[i].isdigit():  # isotope, accepted and ignored
+        i += 1
+    if i >= n:
+        raise UnknownAtomToken("bracket atom lacks an element symbol", offset)
+    aromatic = False
+    if body[i].isupper():
+        element = body[i]
+        i += 1
+        if i < n and body[i].islower() and body[i] != "h":
+            element += body[i]
+            i += 1
+    elif body[i].islower():
+        two = body[i : i + 2]
+        if two == "se" or two == "as":
+            element = two.capitalize()
+            i += 2
+        elif body[i] in "bcnops":
+            element = body[i].upper()
+            i += 1
+        else:
+            raise UnknownAtomToken(f"unknown aromatic symbol {body[i]!r}", offset)
+        aromatic = True
+    else:
+        raise UnknownAtomToken(f"bad bracket atom content {body!r}", offset)
+    while i < n and body[i] == "@":  # chirality, ignored
+        i += 1
+    explicit_h = 0
+    if i < n and body[i] == "H":
+        i += 1
+        digits = ""
+        while i < n and body[i].isdigit():
+            digits += body[i]
+            i += 1
+        explicit_h = int(digits) if digits else 1
+    charge = 0
+    if i < n and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        ch = body[i]
+        i += 1
+        digits = ""
+        while i < n and body[i].isdigit():
+            digits += body[i]
+            i += 1
+        if digits:
+            charge = sign * int(digits)
+        else:
+            charge = sign
+            while i < n and body[i] == ch:
+                charge += sign
+                i += 1
+    if i < n and body[i] == ":":  # atom class, ignored
+        i += 1
+        if i >= n or not body[i].isdigit():
+            raise UnknownAtomToken(f"bad atom class in {body!r}", offset)
+        while i < n and body[i].isdigit():
+            i += 1
+    if i != n:
+        raise UnknownAtomToken(f"unparsed bracket content {body[i:]!r}", offset)
+    if not (-4 <= charge <= 4):
+        raise UnknownAtomToken(f"formal charge {charge} out of range", offset)
+    return element, aromatic, explicit_h, charge
+
+
+def ring_bonds_dfs(n_atoms, pairs):
+    """(ring flag per bond, component count) of the bonds ``pairs`` by an
+    iterative DFS that marks each bond as ring or bridge and counts its
+    roots."""
+    adj = [[] for _ in range(n_atoms)]
+    for k, (a, b) in enumerate(pairs):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+
+    ring = [False] * len(pairs)
+    disc = [-1] * n_atoms
+    low = [0] * n_atoms
+    timer = 0
+    roots = 0
+    for root in range(n_atoms):
+        if disc[root] != -1:
+            continue
+        roots += 1
+        stack = [(root, -1, iter(adj[root]))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, pedge, it = stack[-1]
+            advanced = False
+            for w, k in it:
+                if k == pedge:
+                    continue
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, k, iter(adj[w])))
+                    advanced = True
+                    break
+                low[v] = min(low[v], disc[w])
+                ring[k] = True  # back edge closes a cycle
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] <= disc[u]:
+                    ring[pedge] = True
+    return ring, roots

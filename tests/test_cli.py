@@ -173,6 +173,10 @@ class TestConfigValues:
         ["--lr", "nan"],
         ["--lr", "inf"],
         ["--beta-min", "5", "--beta-max", "1"],
+        ["--beta-min", "nan"],
+        ["--beta-max", "nan"],
+        ["--seeds", "-1"],
+        ["--seeds", "0,-1"],
     ], ids=lambda flags: "=".join(flags))
     def test_bad_value_exits_2(self, tmp_path, capsys, flags):
         rc = cli.main(["train", *small_flags(tmp_path), *flags])
@@ -180,6 +184,16 @@ class TestConfigValues:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
+
+    def test_negative_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MTLMOLNET_SEED", "-1")
+        flags = small_flags(tmp_path)
+        i = flags.index("--seeds")
+        del flags[i : i + 2]
+        rc = cli.main(["train", *flags])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: seeds must be >= 0, got -1"]
 
     @pytest.mark.parametrize("key, value", [
         ("uniform_weights", "true"), ("renormalize_weights", "true"), ("dropout", "0.1"),
@@ -241,6 +255,19 @@ class TestPredictEval:
         for row in rows[1:]:
             for cell in row[1:]:
                 assert 0.0 < float(cell) < 1.0
+
+    def test_bad_smiles_named_by_position(self, trained, tmp_path, capsys):
+        run_dir, _ = trained
+        mols = tmp_path / "mols.txt"
+        mols.write_text("CCO\nCCN\nC1CC\nc1ccccc1\n")
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
+                       "--data", str(mols), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: molecule 3 ('C1CC'): ring closure 1 never closed (offset 1)"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "bench"])
     def test_header_only_file_exits_3(self, trained, tmp_path, capsys, command):

@@ -285,6 +285,31 @@ class TestGradientIntegrity:
         assert worst < 1e-4, f"max relative error {worst}"
 
 
+class TestLearnedExponentsOnlyClimb:
+    @pytest.mark.parametrize("variant", ["multi-rdkit-beta", "qw-mtl"])
+    def test_log_beta_gradient_never_positive(self, variant):
+        # d/d log_beta_t of sum_t r_t^beta_t L_t is r_t^beta_t ln(r_t) L_t
+        # dbeta_t/dlog_beta_t, and every factor but ln(r_t) <= 0 is >= 0
+        cfg = small_cfg(variant=variant, hidden=5, ffn_hidden=4)
+        rng = np.random.default_rng(21)
+        pool = ["C", "CCO", "c1ccccc1", "CC(=O)O", "C1CC1N", "[NH4+]", "OCC#N", "c1ccncc1"]
+        negative = 0
+        for _ in range(20):
+            params = mdl.init_model(cfg, n_tasks=4, rng=rng)
+            params.weighting.log_beta.data[:] = rng.uniform(-8.0, 8.0, size=4)
+            n = int(rng.integers(1, 7))
+            valid = (rng.random((n, 4)) < 0.6).astype(float)
+            valid[0, 0] = 1.0
+            labels = rng.integers(0, 2, size=(n, 4)).astype(float) * valid
+            batch = make_batch(list(rng.choice(pool, size=n)), labels=labels, valid=valid)
+            loss, _ = batch_loss(batch, params, cfg)
+            loss.backward()
+            grad = params.weighting.log_beta.grad
+            assert np.all(grad <= 0.0), grad
+            negative += int(np.sum(grad < 0.0))
+        assert negative > 0
+
+
 class TestMaskingSoundness:
     def test_label_flip_under_invalid_mask_is_inert(self):
         cfg = small_cfg(hidden=5, ffn_hidden=4)
