@@ -273,12 +273,9 @@ def tensor_sum(x, axis=None):
     if axis is not None and not (-x.data.ndim <= axis < x.data.ndim):
         raise ShapeMismatch(f"sum: axis {axis} out of range for shape {x.data.shape}")
     data = x.data.sum(axis=axis)
-    x_req = x.requires_grad
     x_shape = x.data.shape
 
     def backward_fn(g):
-        if not x_req:
-            return (None,)
         if axis is None:
             return (np.broadcast_to(g, x_shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), x_shape).copy(),)
@@ -323,10 +320,9 @@ def scatter_add(x, index, num_rows):
         raise ShapeMismatch("scatter_add index out of range")
     out = np.zeros((num_rows, x.data.shape[1]))
     _kernels.scatter_add_rows(x.data, idx, out)
-    x_req = x.requires_grad
 
     def backward_fn(g):
-        return (g[idx] if x_req else None,)
+        return (g[idx],)
 
     return _make(out, "scatter_add", (x,), backward_fn)
 
@@ -334,10 +330,9 @@ def scatter_add(x, index, num_rows):
 def relu(x):
     x = _lift(x)
     data = np.maximum(x.data, 0.0)
-    x_req = x.requires_grad
 
     def backward_fn(g):
-        return (g * (data > 0) if x_req else None,)
+        return (g * (data > 0),)
 
     return _make(data, "relu", (x,), backward_fn)
 
@@ -402,10 +397,9 @@ def _logistic(xd):
 def sigmoid(x):
     x = _lift(x)
     data = _logistic(x.data)[0]
-    x_req = x.requires_grad
 
     def backward_fn(g):
-        return (g * data * (1.0 - data) if x_req else None,)
+        return (g * data * (1.0 - data),)
 
     return _make(data, "sigmoid", (x,), backward_fn)
 
@@ -415,10 +409,9 @@ def softplus(x):
     x = _lift(x)
     sig, e = _logistic(x.data)
     data = np.maximum(x.data, 0.0) + np.log1p(e)
-    x_req = x.requires_grad
 
     def backward_fn(g):
-        return (g * sig if x_req else None,)
+        return (g * sig,)
 
     return _make(data, "softplus", (x,), backward_fn)
 
@@ -453,11 +446,10 @@ def clamp(x, lo, hi):
     """Clip to [lo, hi]; gradient passes only where lo < x < hi."""
     x = _lift(x)
     data = np.clip(x.data, lo, hi)
-    x_req = x.requires_grad
     active = (x.data > lo) & (x.data < hi)
 
     def backward_fn(g):
-        return (g * active if x_req else None,)
+        return (g * active,)
 
     return _make(data, "clamp", (x,), backward_fn)
 

@@ -76,17 +76,24 @@ def _out_dir(path):
 
 
 def read_config_file(path):
-    """Parse a ``key = value`` file; '#' starts a comment."""
+    """Parse a ``key = value`` UTF-8 file; '#' starts a comment. A file that
+    cannot be read or decoded is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"config file {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path}: not UTF-8 at byte {err.start}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -202,6 +209,8 @@ def merge_config(args):
             raise ConfigError(f"bad --seeds value {seeds_text!r}") from None
         if not seeds:
             raise ConfigError("--seeds must list at least one seed")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"--seeds lists a seed more than once: {seeds_text!r}")
     else:
         seeds = [_default_seed()]
     if min(seeds) < 0:

@@ -15,7 +15,9 @@ them one at a time because no edges cross molecules. ``pack_graphs`` is
 the one place graphs become arrays: a table's parsed graphs are read and
 featurized once, all together, into a ``GraphPack`` of flat arrays (like
 Chemprop's ``BatchMolGraph``), and a batch's union is a vectorised gather
-from it. A list encoded without a union is packed the same way.
+from it, whose directed edges come from the rows' bond ends in the one
+layout of ``smiles._directed_edges``. Packing reads the graphs and writes
+nothing into them. A list encoded without a union is packed the same way.
 """
 
 import math
@@ -103,18 +105,14 @@ class GraphPack:
     """Molecule graphs packed once into flat arrays with offsets.
 
     Row i owns atoms ``atom_off[i]:atom_off[i+1]`` and bonds
-    ``bond_off[i]:bond_off[i+1]``; each bond yields two directed edges, so
-    its directed edges are ``2 * bond_off[i]:2 * bond_off[i+1]``. ``edges``
-    holds each graph's ``directed_edges``, so its columns are
-    molecule-local (src atom, dst atom, bond, reverse edge). ``codes`` are
-    the integer codes the features were filled from, which the built-in
-    descriptors read too.
+    ``bond_off[i]:bond_off[i+1]``. ``codes`` are the integer codes the
+    features were filled from: ``gather`` reads the bond ends from them,
+    and the built-in descriptors read them too.
     """
 
     graphs: list
     atom_features: np.ndarray  # [A x F_a]
     bond_features: np.ndarray  # [M x F_b], one row per bond
-    edges: np.ndarray  # [2M x 4]
     atom_off: np.ndarray  # [N + 1]
     bond_off: np.ndarray  # [N + 1]
     codes: smiles.GraphCodes
@@ -123,22 +121,21 @@ class GraphPack:
         """The UnionGraph of the graphs at ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
         n_atoms = self.atom_off[rows + 1] - self.atom_off[rows]
-        n_edges = 2 * (self.bond_off[rows + 1] - self.bond_off[rows])
+        n_bonds = self.bond_off[rows + 1] - self.bond_off[rows]
         atom_base = np.cumsum(n_atoms) - n_atoms  # first batch atom of each row
-        edge_base = np.cumsum(n_edges) - n_edges
+        bond_base = np.cumsum(n_bonds) - n_bonds
         atom_idx = (np.repeat(self.atom_off[rows] - atom_base, n_atoms)
                     + np.arange(n_atoms.sum()))
-        edge_idx = (np.repeat(2 * self.bond_off[rows] - edge_base, n_edges)
-                    + np.arange(n_edges.sum()))
-        e = self.edges[edge_idx]
-        atom_shift = np.repeat(atom_base, n_edges)
+        bond_idx = (np.repeat(self.bond_off[rows] - bond_base, n_bonds)
+                    + np.arange(n_bonds.sum()))
+        src, dst, bond, rev = smiles._directed_edges(
+            self.codes.ends[:, bond_idx] + np.repeat(atom_base, n_bonds))
         return UnionGraph(
             atom_features=self.atom_features[atom_idx],
-            edge_features=self.bond_features[
-                e[:, 2] + np.repeat(self.bond_off[rows], n_edges)],
-            src=e[:, 0] + atom_shift,
-            dst=e[:, 1] + atom_shift,
-            rev=e[:, 3] + np.repeat(edge_base, n_edges),
+            edge_features=self.bond_features[bond_idx[bond]],
+            src=src,
+            dst=dst,
+            rev=rev,
             mol_of_atom=np.repeat(np.arange(len(rows)), n_atoms),
             inv_atoms=(1.0 / n_atoms)[:, None],
         )
@@ -148,11 +145,8 @@ def pack_graphs(graphs):
     """Pack parsed MolGraphs into one GraphPack.
 
     The graphs' atoms and bonds are read once into ``smiles.GraphCodes``,
-    and the pack's features and edges are filled from those codes for all
-    graphs at once. Each graph's ``atom_features``, ``bond_features`` and
-    ``directed_edges`` are then rebound as views into the pack, so a
-    table's features are never held twice; a graph's arrays are views into
-    the last pack built from it.
+    and the pack's features are filled from those codes for all graphs at
+    once. The graphs themselves are left as they were.
     """
     if not graphs:
         raise EmptyMolecule("empty graph batch")
@@ -161,15 +155,8 @@ def pack_graphs(graphs):
             raise EmptyMolecule("graph has no atoms")
     codes = smiles.read_codes(graphs)
     atom_features, bond_features = smiles.fill_features(codes)
-    ao, bo = codes.atom_off, codes.bond_off
-    pack = GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
-                     edges=codes.directed_edges(), atom_off=ao, bond_off=bo, codes=codes)
-    for g, a0, a1, b0, b1 in zip(graphs, ao.tolist(), ao[1:].tolist(), bo.tolist(),
-                                 bo[1:].tolist()):
-        g.atom_features = atom_features[a0:a1]
-        g.bond_features = bond_features[b0:b1]
-        g.directed_edges = pack.edges[2 * b0:2 * b1]
-    return pack
+    return GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
+                     atom_off=codes.atom_off, bond_off=codes.bond_off, codes=codes)
 
 
 def encode_batch(graphs, params, union=None):

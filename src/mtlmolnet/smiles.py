@@ -34,7 +34,10 @@ the hydrogen audit and the conjugation marking read. Everything after it
 works on many graphs at once: ``read_codes`` reads their atoms and
 bonds once into integer arrays, and ``fill_features`` builds the one-hot
 features of all of them with one fancy-index assignment per field, as
-Chemprop's ``BatchMolGraph`` builds a batch's arrays in one go.
+Chemprop's ``BatchMolGraph`` builds a batch's arrays in one go. Directed
+edges are never stored with the codes: ``_directed_edges`` derives them
+from bond ends, for one graph's ``MolGraph.directed_edges`` and for a
+batch's gather from a pack alike.
 """
 
 import operator
@@ -162,10 +165,11 @@ class Bond:
 class MolGraph:
     """Molecular graph with optional feature matrices.
 
+    ``atom_features`` and ``bond_features`` stay None until ``featurize``
+    fills them; packing a graph reads its atoms and bonds and sets nothing.
     ``directed_edges`` is an int64 array of shape [2*n_bonds, 4] with
-    columns (src_atom, dst_atom, bond_index, reverse_edge_index); bond i
-    yields edges 2i (a->b) and 2i+1 (b->a). It is built from the bonds on
-    first use, unless a GraphPack has bound it to a view of its own edges.
+    columns (src_atom, dst_atom, bond_index, reverse_edge_index) in the
+    layout of ``_directed_edges``, built from the bonds on first use.
     ``n_components`` is the number of connected components, counted by the
     parser on the bond graph.
     """
@@ -190,12 +194,8 @@ class MolGraph:
         if self._edges is None:
             ends = np.array([[b.a for b in self.bonds], [b.b for b in self.bonds]],
                             dtype=np.int64).reshape(2, -1)
-            self._edges = _directed_edges(ends, np.arange(len(self.bonds)))
+            self._edges = _directed_edges(ends).T
         return self._edges
-
-    @directed_edges.setter
-    def directed_edges(self, edges):
-        self._edges = edges
 
 
 def _parse_bracket(body, offset):
@@ -467,16 +467,21 @@ def _assign_hydrogens_and_audit(elements, charges, hydrogens, aromatic, brackete
                 )
 
 
-def _directed_edges(ends, bond_index):
-    """[2M x 4] directed edges of M bonds with ``ends`` [2 x M] and
-    molecule-local indices ``bond_index`` [M]: bond i yields a->b, then b->a."""
-    edges = np.empty((len(bond_index), 2, 4), dtype=np.int64)
-    edges[:, 0, :2] = ends.T
-    edges[:, 1, :2] = ends[::-1].T
-    edges[:, :, 2] = bond_index[:, None]
-    edges[:, 0, 3] = 2 * bond_index + 1
-    edges[:, 1, 3] = 2 * bond_index
-    return edges.reshape(-1, 4)
+def _directed_edges(ends):
+    """[4 x 2M] int64 rows (src atom, dst atom, bond, reverse edge) of the
+    directed edges of M bonds with ``ends`` [2 x M].
+
+    This is the one statement of the edge layout, as in Chemprop: bond i
+    yields edge 2i, a->b, then edge 2i+1, b->a, so the reverse of edge e is
+    e ^ 1.
+    """
+    edge = np.arange(2 * ends.shape[1])
+    edges = np.empty((4, len(edge)), dtype=np.int64)
+    edges[:2, 0::2] = ends
+    edges[:2, 1::2] = ends[::-1]
+    edges[2] = edge >> 1
+    edges[3] = edge ^ 1
+    return edges
 
 
 @dataclass
@@ -501,13 +506,6 @@ class GraphCodes:
     components: np.ndarray  # [N]
     atom_off: np.ndarray  # [N + 1]
     bond_off: np.ndarray  # [N + 1]
-
-    def directed_edges(self):
-        """The graphs' directed edges stacked [2M x 4], molecule-local as
-        in ``MolGraph.directed_edges``."""
-        n_bonds = np.diff(self.bond_off)
-        local = np.arange(self.bond_off[-1]) - np.repeat(self.bond_off[:-1], n_bonds)
-        return _directed_edges(self.ends, local)
 
 
 class _ElementIndex(dict):

@@ -177,6 +177,7 @@ class TestConfigValues:
         ["--beta-max", "nan"],
         ["--seeds", "-1"],
         ["--seeds", "0,-1"],
+        ["--seeds", "0,0"],
     ], ids=lambda flags: "=".join(flags))
     def test_bad_value_exits_2(self, tmp_path, capsys, flags):
         rc = cli.main(["train", *small_flags(tmp_path), *flags])
@@ -204,6 +205,20 @@ class TestConfigValues:
         rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path)])
         assert rc == cli.EXIT_CONFIG
         assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content, reason", [
+        ("missing.cfg", None, "No such file or directory"),
+        ("latin1.cfg", "hidden = 8  # \u00b5m\n".encode("latin-1"), "not UTF-8 at byte 14"),
+    ], ids=["missing", "not_utf8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, name, content, reason):
+        cfgfile = tmp_path / name
+        if content is not None:
+            cfgfile.write_bytes(content)
+        rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config file {cfgfile}: {reason}"]
+        assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
 
     def test_retired_dropout_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

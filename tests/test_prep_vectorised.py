@@ -1,7 +1,8 @@
 """The pack-level fill against the per-graph oracles, bit for bit.
 
 ``pack_graphs`` reads a whole list of graphs into integer codes once and
-fills features, edges and built-in descriptors with numpy;
+fills features and built-in descriptors with numpy, and
+``GraphPack.gather`` derives the directed edges from the bond ends;
 ``tests/oracles.py`` loops over one graph's atoms and bonds at a time. Every
 float must have the same bits (compared as int64 views), over a seeded pool
 of benchmark molecules and the edge cases the fill has to get right.
@@ -59,8 +60,21 @@ def test_pack_features_and_edges_match_oracle(prepared):
     ref = [oracles.features(g) for g in graphs]
     assert_bits(pack.atom_features, np.concatenate([af for af, _ in ref]))
     assert_bits(pack.bond_features, np.concatenate([bf for _, bf in ref]))
-    assert_bits(pack.edges, np.concatenate([oracles.directed_edges(g) for g in graphs]))
-    assert_bits(pack.edges, np.concatenate([g.directed_edges for g in graphs]))
+    union = pack.gather(np.arange(len(graphs)))
+    ref_edges = []
+    edge_base = atom_base = 0
+    for g in graphs:
+        e = oracles.directed_edges(g)
+        ref_edges.append(e + [atom_base, atom_base, 0, edge_base])
+        edge_base += len(e)
+        atom_base += g.n_atoms
+    ref_edges = np.concatenate(ref_edges)
+    assert_bits(union.src, ref_edges[:, 0])
+    assert_bits(union.dst, ref_edges[:, 1])
+    assert_bits(union.rev, ref_edges[:, 3])
+    assert_bits(union.rev, np.arange(len(ref_edges)) ^ 1)
+    assert_bits(union.edge_features, np.concatenate(
+        [bf[oracles.directed_edges(g)[:, 2]] for g, (_, bf) in zip(graphs, ref)]))
 
 
 def test_phys_slots_match_oracle(prepared):
@@ -91,13 +105,8 @@ def test_components_counted_on_the_bond_graph(smi, components):
     assert d[feat.BUILTIN_DESCRIPTOR_NAMES.index("components")] == components
 
 
-def test_graph_arrays_share_memory_with_the_pack(prepared):
+def test_pack_offsets_cover_its_arrays(prepared):
     smis, (pack, _) = prepared
-    for g in pack.graphs:
-        assert np.shares_memory(g.atom_features, pack.atom_features)
-        if g.n_bonds:
-            assert np.shares_memory(g.bond_features, pack.bond_features)
-            assert np.shares_memory(g.directed_edges, pack.edges)
     assert len(pack.graphs) == len(smis)
     assert pack.atom_off[-1] == len(pack.atom_features) == len(pack.codes.element)
     assert pack.bond_off[-1] == len(pack.bond_features) == len(pack.codes.order)
@@ -107,7 +116,7 @@ def test_pack_of_parsed_graphs_matches_pack_of_featurized_copies():
     smis = EDGE_CASES + pool()[:300]
     parsed = pack_graphs([smiles.parse_smiles(s) for s in smis])
     featurized = pack_graphs([smiles.featurize(smiles.parse_smiles(s)) for s in smis])
-    for name in ("atom_features", "bond_features", "edges", "atom_off", "bond_off"):
+    for name in ("atom_features", "bond_features", "atom_off", "bond_off"):
         assert_bits(getattr(parsed, name), getattr(featurized, name))
     for name, codes in vars(parsed.codes).items():
         assert_bits(codes, getattr(featurized.codes, name))
