@@ -1,10 +1,12 @@
 """SMILES parsing into molecular graphs, and their featurization.
 
 Supported subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I and
-aromatic b, c, n, o, p, s), bracket atoms with isotope, charge and explicit
-hydrogen count, branches, ring closures (including %nn), '-', '=', '#', ':'
-bonds and '.'-separated fragments. Stereo markers (/, \\, @) are accepted
-and ignored. Aromaticity is read from lowercase tokens, never perceived.
+aromatic b, c, n, o, p, s), bracket atoms of the 118 IUPAC elements (and
+aromatic b, c, n, o, p, s, se, as) with isotope, charge and a one-digit
+explicit hydrogen count, branches, ring closures (including %nn), '-', '=',
+'#', ':' bonds and '.'-separated fragments. Stereo markers (/, \\, @) are
+accepted and ignored. Aromaticity is read from lowercase tokens, never
+perceived.
 
 Implicit hydrogens on unbracketed atoms are filled from default valences
 (C:4, N:3, O:2, halogens:1, S:2/4/6, P:3/5, B:3, Si:4). Bracket atoms carry
@@ -82,14 +84,22 @@ _ATOM_TOKENS = {e: (e, False, 0, 0, False)
                 for e in ("B", "C", "N", "O", "P", "S", "F", "I", "Cl", "Br")}
 _ATOM_TOKENS.update((e, (e.upper(), True, 0, 0, False)) for e in ("b", "c", "n", "o", "p", "s"))
 _MAX_ATOM_TOKENS = 4096
+# the 118 IUPAC element symbols, in atomic-number order; a bracket atom
+# naming anything else is refused
+_ELEMENTS = frozenset("""
+    H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni Cu Zn Ga Ge
+    As Se Br Kr Rb Sr Y Zr Nb Mo Tc Ru Rh Pd Ag Cd In Sn Sb Te I Xe Cs Ba La Ce Pr Nd Pm
+    Sm Eu Gd Tb Dy Ho Er Tm Yb Lu Hf Ta W Re Os Ir Pt Au Hg Tl Pb Bi Po At Rn Fr Ra Ac Th
+    Pa U Np Pu Am Cm Bk Cf Es Fm Md No Lr Rf Db Sg Bh Hs Mt Ds Rg Cn Nh Fl Mc Lv Ts Og
+""".split())
 # the inside of a bracket atom; every part is optional, so where a match
 # stops names the part that is malformed
 _BRACKET = re.compile(r"""
     (?P<isotope>[0-9]*)                          # ignored
-    (?: (?P<element>[A-Z][a-gi-z]?)              # "CH" is C with one H
+    (?: (?P<element>[A-Z][a-z]?)                 # "CH" is C with one H
       | (?P<aromatic>se|as|[bcnops]) )?
     @*                                           # chirality, ignored
-    (?: H (?P<h>[0-9]*) )?
+    (?: H (?P<h>[0-9]?) )?                       # one digit, as OpenSMILES hcount
     (?: (?P<sign>[+-]) (?P<charge>[0-9]+|(?P=sign)*) )?  # "+2" or "++"
     (?P<atom_class>:[0-9]*)?                     # ignored, but needs a number
 """, re.X)
@@ -209,6 +219,8 @@ def _parse_bracket(body, offset):
         if body[i].islower():
             raise UnknownAtomToken(f"unknown aromatic symbol {body[i]!r}", offset)
         raise UnknownAtomToken(f"bad bracket atom content {body!r}", offset)
+    if element is not None and element not in _ELEMENTS:
+        raise UnknownAtomToken(f"unknown element symbol {element!r}", offset)
     if atom_class == ":":
         raise UnknownAtomToken(f"bad atom class in {body!r}", offset)
     if m.end() != len(body):

@@ -29,6 +29,7 @@ import numpy as np
 from mtlmolnet import _kernels
 from mtlmolnet import autodiff as ad
 from mtlmolnet.features import ATOMIC_MASS, BUILTIN_DESCRIPTOR_NAMES, PHYS_DIM
+from mtlmolnet.smiles import _ELEMENTS as ELEMENT_SYMBOLS
 from mtlmolnet.smiles import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BOND_ORDERS, ELEMENT_ORDER,
                               UnknownAtomToken)
 
@@ -246,9 +247,11 @@ def parse_bracket_loop(body, offset):
     if body[i].isupper():
         element = body[i]
         i += 1
-        if i < n and body[i].islower() and body[i] != "h":
+        if i < n and body[i].islower():
             element += body[i]
             i += 1
+        if element not in ELEMENT_SYMBOLS:
+            raise UnknownAtomToken(f"unknown element symbol {element!r}", offset)
     elif body[i].islower():
         two = body[i : i + 2]
         if two == "se" or two == "as":
@@ -267,11 +270,10 @@ def parse_bracket_loop(body, offset):
     explicit_h = 0
     if i < n and body[i] == "H":
         i += 1
-        digits = ""
-        while i < n and body[i].isdigit():
-            digits += body[i]
+        explicit_h = 1
+        if i < n and body[i].isdigit():  # one digit
+            explicit_h = int(body[i])
             i += 1
-        explicit_h = int(digits) if digits else 1
     charge = 0
     if i < n and body[i] in "+-":
         sign = 1 if body[i] == "+" else -1

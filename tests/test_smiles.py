@@ -12,6 +12,7 @@ from mtlmolnet.smiles import (
     UnknownAtomToken,
     UnmatchedRingClosure,
     ValenceViolation,
+    _ELEMENTS,
     featurize,
     parse_smiles,
 )
@@ -207,6 +208,22 @@ class TestParseErrors:
     def test_unterminated_bracket(self):
         with pytest.raises(UnknownAtomToken):
             parse_smiles("C[NH2")
+
+    @pytest.mark.parametrize("smi, message", [
+        ("C[Cq]", "unknown element symbol 'Cq'"), ("C[Xx]", "unknown element symbol 'Xx'"),
+        ("C[Q]", "unknown element symbol 'Q'"), ("C[NaH99]", "unparsed bracket content '9'"),
+    ])
+    def test_bracket_atom_outside_the_element_table(self, smi, message):
+        with pytest.raises(UnknownAtomToken, match=message) as err:
+            parse_smiles(smi)
+        assert err.value.offset == 1
+
+    def test_every_element_symbol_reads_in_brackets(self):
+        # the 118 IUPAC symbols, including the two whose second letter is h
+        assert len(_ELEMENTS) == 118
+        for element in sorted(_ELEMENTS):
+            assert parse_smiles(f"[{element}]").atoms[0].element == element
+        assert parse_smiles("[NaH9]").atoms[0].explicit_h == 9
 
     @pytest.mark.parametrize("smi, offset", [("C1C1", 3), ("C12CC12", 6)])
     def test_duplicate_bond_names_its_offset(self, smi, offset):
