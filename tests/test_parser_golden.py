@@ -77,4 +77,4 @@ def test_refusals_golden():
     outcomes = [outcome(s) for s in corpus]
     refused = sum(o[0] != "ok" for o in outcomes)
     assert refused > len(corpus) // 2
-    assert digest(outcomes) == "ab376ced2eb4c63078a1e6aa588dc3261e6b8c75392a879a27526a647ac538a3"
+    assert digest(outcomes) == "0befaed278a0b61cc8b81dccff2106f5aad2bae91b428772e6eb7f32a4655b12"
