@@ -60,11 +60,12 @@ def test_pack_features_and_edges_match_oracle(prepared):
     ref = [oracles.features(g) for g in graphs]
     assert_bits(pack.atom_features, np.concatenate([af for af, _ in ref]))
     assert_bits(pack.bond_features, np.concatenate([bf for _, bf in ref]))
+    local_edges = [oracles.directed_edges(g) for g in graphs]
+    assert_bits(np.concatenate([g.directed_edges for g in graphs]), np.concatenate(local_edges))
     union = pack.gather(np.arange(len(graphs)))
     ref_edges = []
     edge_base = atom_base = 0
-    for g in graphs:
-        e = oracles.directed_edges(g)
+    for g, e in zip(graphs, local_edges):
         ref_edges.append(e + [atom_base, atom_base, 0, edge_base])
         edge_base += len(e)
         atom_base += g.n_atoms
@@ -74,7 +75,7 @@ def test_pack_features_and_edges_match_oracle(prepared):
     assert_bits(union.rev, ref_edges[:, 3])
     assert_bits(union.rev, np.arange(len(ref_edges)) ^ 1)
     assert_bits(union.edge_features, np.concatenate(
-        [bf[oracles.directed_edges(g)[:, 2]] for g, (_, bf) in zip(graphs, ref)]))
+        [bf[e[:, 2]] for e, (_, bf) in zip(local_edges, ref)]))
 
 
 def test_phys_slots_match_oracle(prepared):
