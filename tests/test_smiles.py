@@ -219,7 +219,7 @@ class TestParseErrors:
         assert err.value.offset == 1
 
     def test_every_element_symbol_reads_in_brackets(self):
-        # the 118 IUPAC symbols, including the two whose second letter is h
+        # the 118 IUPAC symbols, Rh, Th, Bh and Nh (second letter h) included
         assert len(_ELEMENTS) == 118
         for element in sorted(_ELEMENTS):
             assert parse_smiles(f"[{element}]").atoms[0].element == element
