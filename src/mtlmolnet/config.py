@@ -15,19 +15,6 @@ from .features import PHYS_DIM, QC_DIM
 VARIANTS = ("multi-rdkit", "multi-rdkit-qc", "multi-rdkit-beta", "qw-mtl")
 
 
-def variant_uses_qc(variant):
-    return variant in ("multi-rdkit-qc", "qw-mtl")
-
-
-def variant_learnable_beta(variant):
-    return variant in ("multi-rdkit-beta", "qw-mtl")
-
-
-def fused_dim(hidden, use_qc):
-    """Length of the head input: fingerprint + descriptors (+ qc + mask)."""
-    return hidden + PHYS_DIM + (2 * QC_DIM if use_qc else 0)
-
-
 @dataclass
 class TrainConfig:
     epochs: int = 30
@@ -66,15 +53,16 @@ class TrainConfig:
 
     @property
     def use_qc(self):
-        return variant_uses_qc(self.variant)
+        return self.variant in ("multi-rdkit-qc", "qw-mtl")
 
     @property
     def learnable_beta(self):
-        return variant_learnable_beta(self.variant)
+        return self.variant in ("multi-rdkit-beta", "qw-mtl")
 
     @property
     def fused_dim(self):
-        return fused_dim(self.hidden, self.use_qc)
+        """Length of the head input: fingerprint + descriptors (+ qc + mask)."""
+        return self.hidden + PHYS_DIM + (2 * QC_DIM if self.use_qc else 0)
 
     def param_shapes(self, n_tasks):
         """The model's parameters as ordered ``(name, shape)`` pairs: the

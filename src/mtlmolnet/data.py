@@ -69,9 +69,8 @@ class TaskTable:
     splits: np.ndarray
     fold: np.ndarray
     specs: list
-    graphs: list = field(default=None)
     blocks: list = field(default=None)  # raw (unstandardized) FeatureBlocks
-    pack: enc.GraphPack = field(default=None)  # the graphs, packed once
+    pack: enc.GraphPack = field(default=None)  # the parsed graphs (pack.graphs), packed once
     phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
     @property
@@ -209,7 +208,7 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     from the pack's codes. Descriptors are the built-in set unless an
     external 200-dim file is given; quantum values come from ``qc_path`` or
     stay fully masked. Returns ``(pack, blocks)``: the GraphPack of the
-    parsed graphs (``pack.graphs``, whose arrays are views into it) and one
+    parsed graphs (``pack.graphs``, left as the parser made them) and one
     unstandardized FeatureBlock per molecule.
     """
     pack = enc.pack_graphs(parse_molecules(smiles_list))
@@ -229,9 +228,9 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
 
 def prepare_table(table, phys_path=None, qc_path=None):
     """Prepare every row's SMILES with ``prepare_molecules`` and attach the
-    pack (``table.pack``), the graphs, the raw blocks and the phys source."""
+    pack (``table.pack``, which holds the graphs), the raw blocks and the
+    phys source."""
     table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path)
-    table.graphs = table.pack.graphs
     table.phys_source = feat.phys_source(phys_path)
     return table
 
@@ -287,7 +286,7 @@ def _gather_batch(view, sel, features):
     rows = view.rows[sel]
     valid = view.valid[sel]
     return Batch(
-        graphs=[table.graphs[r] for r in rows],
+        graphs=[table.pack.graphs[r] for r in rows],
         feature_blocks=None if features is not None else [table.blocks[r] for r in rows],
         labels=np.where(valid > 0, table.labels[rows], 0).astype(np.float64),
         valid=valid,

@@ -47,10 +47,6 @@ class EncoderParams:
     w_out: Tensor
     depth: int = 3
 
-    def tensors(self):
-        return [("encoder.w_in", self.w_in), ("encoder.w_msg", self.w_msg),
-                ("encoder.w_out", self.w_out)]
-
 
 @dataclass
 class Fingerprint:
@@ -104,29 +100,27 @@ class UnionGraph:
 class GraphPack:
     """Molecule graphs packed once into flat arrays with offsets.
 
-    Row i owns atoms ``atom_off[i]:atom_off[i+1]`` and bonds
-    ``bond_off[i]:bond_off[i+1]``. ``codes`` are the integer codes the
-    features were filled from: ``gather`` reads the bond ends from them,
-    and the built-in descriptors read them too.
+    ``codes`` are the integer codes the features were filled from, with
+    each row's atom and bond offsets: ``gather`` reads the offsets and the
+    bond ends from them, and the built-in descriptors read them too.
     """
 
     graphs: list
     atom_features: np.ndarray  # [A x F_a]
     bond_features: np.ndarray  # [M x F_b], one row per bond
-    atom_off: np.ndarray  # [N + 1]
-    bond_off: np.ndarray  # [N + 1]
     codes: smiles.GraphCodes
 
     def gather(self, rows):
         """The UnionGraph of the graphs at ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
-        n_atoms = self.atom_off[rows + 1] - self.atom_off[rows]
-        n_bonds = self.bond_off[rows + 1] - self.bond_off[rows]
+        atom_off, bond_off = self.codes.atom_off, self.codes.bond_off
+        n_atoms = atom_off[rows + 1] - atom_off[rows]
+        n_bonds = bond_off[rows + 1] - bond_off[rows]
         atom_base = np.cumsum(n_atoms) - n_atoms  # first batch atom of each row
         bond_base = np.cumsum(n_bonds) - n_bonds
-        atom_idx = (np.repeat(self.atom_off[rows] - atom_base, n_atoms)
+        atom_idx = (np.repeat(atom_off[rows] - atom_base, n_atoms)
                     + np.arange(n_atoms.sum()))
-        bond_idx = (np.repeat(self.bond_off[rows] - bond_base, n_bonds)
+        bond_idx = (np.repeat(bond_off[rows] - bond_base, n_bonds)
                     + np.arange(n_bonds.sum()))
         src, dst, bond, rev = smiles._directed_edges(
             self.codes.ends[:, bond_idx] + np.repeat(atom_base, n_bonds))
@@ -156,7 +150,7 @@ def pack_graphs(graphs):
     codes = smiles.read_codes(graphs)
     atom_features, bond_features = smiles.fill_features(codes)
     return GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
-                     atom_off=codes.atom_off, bond_off=codes.bond_off, codes=codes)
+                     codes=codes)
 
 
 def encode_batch(graphs, params, union=None):

@@ -311,20 +311,29 @@ def fit_stats(blocks, indices=None):
     return FeatureStats(phys_mean, phys_std, qc_mean, qc_std)
 
 
-def _zscore(phys, qc, qc_mask, stats):
-    """Z-score ``phys`` in place; returns it and the z-scored ``qc``."""
-    phys -= stats.phys_mean
-    phys /= stats.phys_std
-    return phys, np.where(qc_mask == 1.0, (qc - stats.qc_mean) / stats.qc_std, 0.0)
+def feature_matrix(blocks, use_qc=True, stats=None):
+    """The descriptor columns of the head input, one row per block:
+    [phys | qc | qc_mask], or [phys] when the quantum block is ablated.
+    With ``stats`` the phys and qc columns are z-scored and masked qc
+    entries stay exactly 0. The one code that standardizes and lays out
+    descriptors; ``standardize`` and ``fuse`` are views of it."""
+    phys = np.stack([b.phys for b in blocks])
+    qc = np.stack([b.qc for b in blocks])
+    qc_mask = np.stack([b.qc_mask for b in blocks])
+    if stats is not None:
+        phys -= stats.phys_mean
+        phys /= stats.phys_std
+        qc = np.where(qc_mask == 1.0, (qc - stats.qc_mean) / stats.qc_std, 0.0)
+    if use_qc:
+        return np.concatenate([phys, qc, qc_mask], axis=1)
+    return phys
 
 
 def standardize(blocks, stats):
-    """Z-score feature blocks with precomputed stats; masked qc stays 0."""
-    out = []
-    for b in blocks:
-        phys, qc = _zscore(b.phys.copy(), b.qc, b.qc_mask, stats)
-        out.append(FeatureBlock(phys=phys, qc=qc, qc_mask=b.qc_mask.copy()))
-    return out
+    """Z-scored feature blocks: views of the rows of ``feature_matrix``."""
+    return [FeatureBlock(phys=row[:PHYS_DIM], qc=row[PHYS_DIM:PHYS_DIM + QC_DIM],
+                         qc_mask=row[PHYS_DIM + QC_DIM:])
+            for row in feature_matrix(blocks, use_qc=True, stats=stats)]
 
 
 def fuse(z, block, use_qc=True):
@@ -334,20 +343,4 @@ def fuse(z, block, use_qc=True):
     [z | phys] (500) when the quantum block is ablated.
     """
     z = z.z if hasattr(z, "z") else np.asarray(z)
-    parts = [z, block.phys]
-    if use_qc:
-        parts += [block.qc, block.qc_mask]
-    return np.concatenate(parts)
-
-
-def feature_matrix(blocks, use_qc=True, stats=None):
-    """Stack the descriptor parts of ``fuse`` for a whole batch, z-scored
-    with ``stats`` when given (the same values as ``standardize``)."""
-    phys = np.stack([b.phys for b in blocks])
-    qc = np.stack([b.qc for b in blocks])
-    qc_mask = np.stack([b.qc_mask for b in blocks])
-    if stats is not None:
-        phys, qc = _zscore(phys, qc, qc_mask, stats)
-    if use_qc:
-        return np.concatenate([phys, qc, qc_mask], axis=1)
-    return phys
+    return np.concatenate([z, feature_matrix([block], use_qc)[0]])

@@ -100,7 +100,7 @@ class TestEncode:
         p = params(hidden=8)
         out = encode_batch([graph("CCO"), graph("c1ccccc1")], p)
         out.sum().backward()
-        for _, t in p.tensors():
+        for t in (p.w_in, p.w_msg, p.w_out):
             assert t.grad is not None
             assert np.any(t.grad != 0)
 

@@ -451,7 +451,7 @@ class TestPredict:
         table = toy_table(tmp_path)
         cfg = small_cfg(epochs=1)
         result = train(table, cfg)
-        probs = mdl.predict_blocks(table.graphs, table.blocks, result.params, cfg)
+        probs = mdl.predict_blocks(table.pack.graphs, table.blocks, result.params, cfg)
         assert probs.shape == (table.n_rows, 2)
         assert np.all((probs > 0) & (probs < 1))
 
@@ -504,6 +504,6 @@ class TestPredict:
         table = toy_table(tmp_path)
         cfg = small_cfg(epochs=1)
         result = train(table, cfg)
-        a = mdl.predict_blocks(table.graphs, table.blocks, result.params, cfg)
-        b = mdl.predict_blocks(table.graphs, table.blocks, result.params, cfg)
+        a = mdl.predict_blocks(table.pack.graphs, table.blocks, result.params, cfg)
+        b = mdl.predict_blocks(table.pack.graphs, table.blocks, result.params, cfg)
         np.testing.assert_array_equal(a, b)

@@ -84,13 +84,13 @@ class TestGather:
                                replace=False) for _ in range(30)]
         for rows in subsets:
             union = table.pack.gather(rows)
-            ref = reference_union([table.graphs[r] for r in rows])
+            ref = reference_union([table.pack.graphs[r] for r in rows])
             for name, expected in ref.items():
                 assert_bitwise_equal(getattr(union, name), expected)
 
     def test_bondless_rows_only(self, tmp_path):
         table = prepared_table(tmp_path)
-        rows = [i for i, g in enumerate(table.graphs) if g.n_bonds == 0]
+        rows = [i for i, g in enumerate(table.pack.graphs) if g.n_bonds == 0]
         assert len(rows) >= 3  # C, O and N
         union = table.pack.gather(rows)
         assert len(union.src) == len(union.edge_features) == 0
@@ -99,9 +99,9 @@ class TestGather:
     def test_pack_sets_nothing_on_its_graphs(self, tmp_path):
         table = prepared_table(tmp_path)
         pack = table.pack
-        assert all(g.atom_features is None and g.bond_features is None for g in table.graphs)
-        assert len(pack.atom_features) == sum(g.n_atoms for g in table.graphs)
-        assert len(pack.bond_features) == sum(g.n_bonds for g in table.graphs)
+        assert all(g.atom_features is None and g.bond_features is None for g in pack.graphs)
+        assert len(pack.atom_features) == sum(g.n_atoms for g in pack.graphs)
+        assert len(pack.bond_features) == sum(g.n_bonds for g in pack.graphs)
         for make in (smiles.parse_smiles, graph):
             graphs = [make(s) for s in SMILES]
             before = [(vars(g).copy(), {k: v.copy() for k, v in vars(g).items()
@@ -127,7 +127,7 @@ class TestEncodeGathered:
         for rows in (rng.permutation(table.n_rows)[:17], np.array([0, 2, 7])):
             results = []
             # table graphs with a gathered union, then freshly parsed graphs alone
-            for graphs, union in (([table.graphs[r] for r in rows], table.pack.gather(rows)),
+            for graphs, union in (([table.pack.graphs[r] for r in rows], table.pack.gather(rows)),
                                   ([graph(table.smiles[r]) for r in rows], None)):
                 params = init_encoder_params(smiles.ATOM_FEATURE_DIM,
                                              smiles.BOND_FEATURE_DIM, 16, 3,
@@ -135,7 +135,8 @@ class TestEncodeGathered:
                 z = encode_batch(graphs, params, union=union)
                 ad.tensor_sum(ad.mul(z, ad.Tensor(np.linspace(-1, 1, z.data.size)
                                                   .reshape(z.data.shape)))).backward()
-                results.append([z.data] + [t.grad for _, t in params.tensors()])
+                results.append([z.data] + [t.grad for t in (params.w_in, params.w_msg,
+                                                            params.w_out)])
             for a, b in zip(*results):
                 assert_bitwise_equal(a, b)
 

@@ -109,15 +109,15 @@ def test_components_counted_on_the_bond_graph(smi, components):
 def test_pack_offsets_cover_its_arrays(prepared):
     smis, (pack, _) = prepared
     assert len(pack.graphs) == len(smis)
-    assert pack.atom_off[-1] == len(pack.atom_features) == len(pack.codes.element)
-    assert pack.bond_off[-1] == len(pack.bond_features) == len(pack.codes.order)
+    assert pack.codes.atom_off[-1] == len(pack.atom_features) == len(pack.codes.element)
+    assert pack.codes.bond_off[-1] == len(pack.bond_features) == len(pack.codes.order)
 
 
 def test_pack_of_parsed_graphs_matches_pack_of_featurized_copies():
     smis = EDGE_CASES + pool()[:300]
     parsed = pack_graphs([smiles.parse_smiles(s) for s in smis])
     featurized = pack_graphs([smiles.featurize(smiles.parse_smiles(s)) for s in smis])
-    for name in ("atom_features", "bond_features", "atom_off", "bond_off"):
+    for name in ("atom_features", "bond_features"):
         assert_bits(getattr(parsed, name), getattr(featurized, name))
     for name, codes in vars(parsed.codes).items():
         assert_bits(codes, getattr(featurized.codes, name))
