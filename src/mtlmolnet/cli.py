@@ -569,10 +569,14 @@ def cmd_analyze(args):
 
     scales = np.array([r[1] for r in rows], dtype=float)
     betas = np.array([r[2] for r in rows])
+    unlabeled = [name for name, scale, _ in rows if scale == 0]
     try:
-        r_log = met.pearson(np.log(scales), betas)
         r_raw = met.pearson(scales, betas)
-        print(f"pearson_log_scale_beta,{r_log:.6f}")
+        if unlabeled:  # log(0) has no place on the log scale
+            print("warning: correlation omitted: pearson_log_scale_beta: no labeled rows "
+                  f"for task(s) {', '.join(unlabeled)}", file=sys.stderr)
+        else:
+            print(f"pearson_log_scale_beta,{met.pearson(np.log(scales), betas):.6f}")
         print(f"pearson_scale_beta,{r_raw:.6f}")
     except met.ConstantInput as err:
         print(f"warning: correlation omitted: {err}", file=sys.stderr)

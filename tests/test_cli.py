@@ -626,6 +626,25 @@ class TestAnalyze:
                        "--data", data, "--tasks", tasks])
         assert rc == cli.EXIT_DATA
 
+    def test_unlabeled_task_omits_only_the_log_scale_line(self, tmp_path, capsys):
+        # log(0) of an unlabeled task's scale would print nan
+        data = tmp_path / "data.csv"
+        data.write_text("smiles,A,A_split,B,B_split,fold\n"
+                        "CCO,1,train,,,0\nCCN,0,train,,,0\nCCC,1,val,,,0\n")
+        tasks = tmp_path / "tasks.json"
+        synth.write_tasks_file(tasks, ["A", "B"])
+        history = tmp_path / "history.csv"
+        history.write_text("epoch,task,loss,r,beta_eff,w,val_metric\n"
+                           "0,A,0.5,1.0,1.5,1.0,\n0,B,0.0,0.0,0.7,0.0,\n")
+        rc = cli.main(["analyze", "--history", str(history), "--data", str(data),
+                       "--tasks", str(tasks), "--out", str(tmp_path / "analysis")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["pearson_scale_beta,1.000000"]
+        assert captured.err.splitlines() == [
+            "warning: correlation omitted: pearson_log_scale_beta: "
+            "no labeled rows for task(s) B"]
+
 
     @pytest.mark.parametrize("text, where", [
         ("epoch,task,r,beta_eff,w,val_metric\n0,task0,0.5,1.0,0.5,\n",
