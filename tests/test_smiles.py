@@ -225,6 +225,18 @@ class TestParseErrors:
             assert parse_smiles(f"[{element}]").atoms[0].element == element
         assert parse_smiles("[NaH9]").atoms[0].explicit_h == 9
 
+    @pytest.mark.parametrize("smi, element, hydrogens, charge", [
+        ("[ReH9-2]", "Re", 9, -2),  # nonahydridorhenate, the anion of K2ReH9
+        ("[AlH4-]", "Al", 4, -1),  # tetrahydroaluminate
+        ("[GeH4]", "Ge", 4, 0),  # germane
+    ])
+    def test_hydrides_outside_the_valence_table_keep_their_hydrogens(
+            self, smi, element, hydrogens, charge):
+        # elements outside VALENCES take the written hydrogen count unaudited;
+        # a cap on it would refuse real species such as these
+        atom = parse_smiles(smi).atoms[0]
+        assert (atom.element, atom.explicit_h, atom.formal_charge) == (element, hydrogens, charge)
+
     @pytest.mark.parametrize("smi, offset", [("C1C1", 3), ("C12CC12", 6)])
     def test_duplicate_bond_names_its_offset(self, smi, offset):
         with pytest.raises(UnmatchedRingClosure, match="duplicate bond") as err:
