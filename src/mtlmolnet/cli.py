@@ -303,7 +303,8 @@ def _train_one(table, specs, cfg, seed, out_dir):
         val_scores = {row["task"]: row["val_metric"] for row in result.history
                       if row["epoch"] == result.best_epoch}
     else:  # no epoch ran, so the untrained model was never scored
-        val_scores = mdl.evaluate_split(table, result.params, run_cfg, "val", result.stats)
+        features = feat.feature_matrix(table.blocks, use_qc=run_cfg.use_qc, stats=result.stats)
+        val_scores = mdl.evaluate_split(table, result.params, "val", features)
     return result, val_scores
 
 
@@ -437,7 +438,8 @@ def cmd_eval(args):
     view = dat.select_split(table, "test")
     if len(view) == 0 or not view.valid.any():
         raise NoTestData("dataset has no test-tagged labels")
-    scores = mdl.evaluate_split(table, params, cfg, "test", stats)
+    features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
+    scores = mdl.evaluate_split(table, params, "test", features)
 
     with _output(args.out) as writer:
         writer.writerow(["task", "metric", "value"])

@@ -62,14 +62,15 @@ class TaskSpec:
 @dataclass
 class TaskTable:
     """Loaded dataset. labels: [N x T] with -1 for missing; splits: [N x T]
-    with -1 for untagged; fold: [N]."""
+    with -1 for untagged; fold: [N]. ``prepare_table`` attaches the pack
+    and ``blocks``, the descriptor record whose row i is table row i's."""
 
     smiles: list
     labels: np.ndarray
     splits: np.ndarray
     fold: np.ndarray
     specs: list
-    blocks: list = field(default=None)  # raw (unstandardized) FeatureBlocks
+    blocks: feat.FeatureBlock = field(default=None)  # raw (unstandardized)
     pack: enc.GraphPack = field(default=None)  # the parsed graphs (pack.graphs), packed once
     phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
@@ -89,11 +90,12 @@ class TaskTable:
 @dataclass
 class Batch:
     """One batch of rows. The heads read ``features`` when it is set and
-    the standardized ``feature_blocks`` otherwise; the encoder reads
-    ``union`` when it is set and packs ``graphs`` otherwise."""
+    the standardized record (or block list) ``feature_blocks`` otherwise;
+    the encoder reads ``union`` when it is set and packs ``graphs``
+    otherwise."""
 
     graphs: list
-    feature_blocks: list
+    feature_blocks: feat.FeatureBlock
     labels: np.ndarray  # [B x T] of {0, 1}
     valid: np.ndarray  # [B x T] of {0, 1}
     row_indices: np.ndarray
@@ -121,31 +123,42 @@ def _parse_label(cell, lineno, column):
 
 
 def load_dataset(path, specs):
-    """Load the merged multi-task CSV into a TaskTable."""
+    """Load the merged multi-task CSV into a TaskTable; a header naming a
+    read column twice, or a row of another width, is refused by line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyDataset(f"{path}: no header row")
-        header = set(reader.fieldnames)
         required = {"smiles", "fold"}
         for spec in specs:
             required.add(spec.label_column)
             required.add(spec.split_column)
-        missing = required - header
+        missing = required - set(header)
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {sorted(missing)}")
+        twice = sorted(c for c in required if header.count(c) > 1)
+        if twice:
+            raise DatasetError(f"{path}:{reader.line_num}: column(s) {twice} named twice "
+                               "in the header")
 
         smiles_col = []
         labels_rows = []
         splits_rows = []
         folds = []
-        for row in reader:
+        for fields in reader:
+            if not fields:
+                continue
             lineno = reader.line_num
+            if len(fields) != len(header):
+                raise DatasetError(f"{path}:{lineno}: expected {len(header)} fields as in "
+                                   f"the header, got {len(fields)}")
+            row = dict(zip(header, fields))
             labels = np.full(len(specs), -1, dtype=np.int64)
             splits = np.full(len(specs), -1, dtype=np.int64)
             for t, spec in enumerate(specs):
-                label = _parse_label(row[spec.label_column] or "", lineno, spec.label_column)
-                tag = (row[spec.split_column] or "").strip()
+                label = _parse_label(row[spec.label_column], lineno, spec.label_column)
+                tag = row[spec.split_column].strip()
                 if tag and tag not in SPLIT_CODES:
                     raise BadSplitTag(
                         f"row {lineno}, column {spec.split_column}: bad split tag {tag!r}"
@@ -164,7 +177,7 @@ def load_dataset(path, specs):
             if (labels < 0).all():
                 raise BadLabelValue(f"row {lineno}: every task label is missing")
             try:
-                folds.append(int((row["fold"] or "").strip() or 0))
+                folds.append(int(row["fold"].strip() or 0))
             except ValueError:
                 raise BadLabelValue(f"row {lineno}: bad fold value {row['fold']!r}") from None
             smiles_col.append(row["smiles"])
@@ -199,7 +212,7 @@ def parse_molecules(smiles_list):
 
 
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
-    """Parse SMILES, pack them, and build their raw descriptor blocks.
+    """Parse SMILES, pack them, and build their raw descriptor record.
 
     The one preparation path of training, evaluation, prediction and bench;
     analysis, which reads no descriptors, packs ``parse_molecules`` alone.
@@ -207,9 +220,9 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     for the whole pack at once, and the built-in descriptors are computed
     from the pack's codes. Descriptors are the built-in set unless an
     external 200-dim file is given; quantum values come from ``qc_path`` or
-    stay fully masked. Returns ``(pack, blocks)``: the GraphPack of the
-    parsed graphs (``pack.graphs``, left as the parser made them) and one
-    unstandardized FeatureBlock per molecule.
+    stay fully masked. Returns ``(pack, record)``: the GraphPack of the
+    parsed graphs (``pack.graphs``, left as the parser made them) and the
+    unstandardized FeatureBlock of their descriptors, a row per molecule.
     """
     pack = enc.pack_graphs(parse_molecules(smiles_list))
     if phys_path is not None:
@@ -221,15 +234,13 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     else:
         qc = np.zeros((len(smiles_list), feat.QC_DIM))
         qc_mask = np.zeros((len(smiles_list), feat.QC_DIM))
-    blocks = [feat.FeatureBlock(phys=phys[i], qc=qc[i], qc_mask=qc_mask[i])
-              for i in range(len(smiles_list))]
-    return pack, blocks
+    return pack, feat.FeatureBlock(phys=phys, qc=qc, qc_mask=qc_mask)
 
 
 def prepare_table(table, phys_path=None, qc_path=None):
     """Prepare every row's SMILES with ``prepare_molecules`` and attach the
-    pack (``table.pack``, which holds the graphs), the raw blocks and the
-    phys source."""
+    pack (``table.pack``, which holds the graphs), the raw descriptor
+    record and the phys source."""
     table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path)
     table.phys_source = feat.phys_source(phys_path)
     return table
@@ -268,7 +279,7 @@ def make_batches(view, batch_size, rng, features=None):
     so only one batch's gathered arrays are alive at a time. Each batch's
     disjoint union is gathered from the table's pack. ``features`` is the
     table's standardized descriptor matrix [N x D]; batches take their
-    rows of it in place of the table's blocks.
+    rows of it in place of their rows of the table's descriptor record.
     """
     if len(view) == 0:
         raise EmptyDataset(f"split {view.split!r} selects no rows")
@@ -287,7 +298,7 @@ def _gather_batch(view, sel, features):
     valid = view.valid[sel]
     return Batch(
         graphs=[table.pack.graphs[r] for r in rows],
-        feature_blocks=None if features is not None else [table.blocks[r] for r in rows],
+        feature_blocks=None if features is not None else table.blocks[rows],
         labels=np.where(valid > 0, table.labels[rows], 0).astype(np.float64),
         valid=valid,
         row_indices=rows,

@@ -1,11 +1,12 @@
-"""External descriptor block: physicochemical + quantum descriptors + mask.
+"""External descriptor record: physicochemical + quantum descriptors + mask.
 
-Each molecule carries a 208-dim descriptor block: 200 physicochemical
-slots (a built-in 16-descriptor set zero-padded, or a full externally
-computed vector), 4 quantum-chemical values (dipole moment norm, HOMO-LUMO
-gap, electron count, total electronic energy) and a 4-bit availability
-mask. Quantum values frequently fail to compute upstream, so missing
-entries are masked and zero-filled rather than dropping molecules.
+Molecules' descriptors form one record of three matrices, a row per
+molecule: 200 physicochemical slots (a built-in 16-descriptor set
+zero-padded, or a full externally computed vector), 4 quantum-chemical
+values (dipole moment norm, HOMO-LUMO gap, electron count, total electronic
+energy) and a 4-bit availability mask. Quantum values frequently fail to
+compute upstream, so missing entries are masked and zero-filled rather
+than dropping molecules.
 
 Standardization is a per-dimension z-score with training-split statistics
 (population std); masked quantum entries are excluded from the statistics
@@ -79,9 +80,25 @@ class DuplicateSmiles(UserWarning):
 
 @dataclass
 class FeatureBlock:
-    phys: np.ndarray  # [200]
-    qc: np.ndarray  # [4]
-    qc_mask: np.ndarray  # [4] of {0, 1}
+    """The descriptors of N molecules, one row each. ``block[rows]`` selects
+    rows, so iterating yields each molecule's row views; a block of 1-D
+    arrays is one molecule's descriptors."""
+
+    phys: np.ndarray  # [N x 200]
+    qc: np.ndarray  # [N x 4]
+    qc_mask: np.ndarray  # [N x 4] of {0, 1}
+
+    def __getitem__(self, rows):
+        return FeatureBlock(self.phys[rows], self.qc[rows], self.qc_mask[rows])
+
+
+def as_record(blocks):
+    """``blocks`` as one record: a record as it is, a list of per-molecule
+    blocks stacked row by row."""
+    if isinstance(blocks, FeatureBlock):
+        return blocks
+    return FeatureBlock(*(np.stack([getattr(b, name) for b in blocks])
+                          for name in ("phys", "qc", "qc_mask")))
 
 
 # where a phys block comes from: builtin_phys_matrix or a --phys file
@@ -282,19 +299,19 @@ def write_external_phys(path, molecules, matrix):
 
 
 def fit_stats(blocks, indices=None):
-    """Per-dimension mean/std over the training blocks (population std).
+    """Per-dimension mean/std over the training rows ``indices`` (all when
+    None) of a record or a list of blocks (population std).
 
     Quantum dimensions use only unmasked entries; a dimension with no
     observations, or ~zero spread, gets (mean 0, std 1) so standardization
     passes it through untouched.
     """
-    idx = range(len(blocks)) if indices is None else indices
-    phys = np.stack([blocks[i].phys for i in idx])
-    qc = np.stack([blocks[i].qc for i in idx])
-    mask = np.stack([blocks[i].qc_mask for i in idx])
-
-    phys_mean = phys.mean(axis=0)
-    phys_std = phys.std(axis=0)
+    if indices is not None:  # pick a list's rows first: its whole stack would add a copy
+        blocks = (blocks[indices] if isinstance(blocks, FeatureBlock)
+                  else [blocks[i] for i in indices])
+    rec = as_record(blocks)
+    phys_mean = rec.phys.mean(axis=0)
+    phys_std = rec.phys.std(axis=0)
     low = phys_std < 1e-12
     phys_mean[low] = 0.0
     phys_std[low] = 1.0
@@ -302,7 +319,7 @@ def fit_stats(blocks, indices=None):
     qc_mean = np.zeros(QC_DIM)
     qc_std = np.ones(QC_DIM)
     for j in range(QC_DIM):
-        seen = qc[mask[:, j] == 1.0, j]
+        seen = rec.qc[rec.qc_mask[:, j] == 1.0, j]
         if seen.size:
             m, s = seen.mean(), seen.std()
             if s >= 1e-12:
@@ -312,32 +329,35 @@ def fit_stats(blocks, indices=None):
 
 
 def feature_matrix(blocks, use_qc=True, stats=None):
-    """The descriptor columns of the head input, one row per block:
-    [phys | qc | qc_mask], or [phys] when the quantum block is ablated.
-    With ``stats`` the phys and qc columns are z-scored and masked qc
-    entries stay exactly 0. The one code that standardizes and lays out
-    descriptors; ``standardize`` and ``fuse`` are views of it."""
-    phys = np.stack([b.phys for b in blocks])
-    qc = np.stack([b.qc for b in blocks])
-    qc_mask = np.stack([b.qc_mask for b in blocks])
+    """The descriptor columns of the head input, a row per molecule of the
+    record or list: [phys | qc | qc_mask], or [phys] when the quantum block
+    is ablated. With ``stats`` the phys and qc columns are z-scored and
+    masked qc entries stay exactly 0. The one code that standardizes and
+    lays out descriptors; ``standardize`` and ``fuse`` are views of it."""
+    rec = as_record(blocks)
+    if use_qc:
+        out = np.concatenate([rec.phys, rec.qc, rec.qc_mask], axis=1)
+    else:  # a list's stack is a new record, so its phys is z-scored in place, not copied
+        out = rec.phys if rec is not blocks else rec.phys.copy()
     if stats is not None:
+        phys = out[:, :PHYS_DIM]
         phys -= stats.phys_mean
         phys /= stats.phys_std
-        qc = np.where(qc_mask == 1.0, (qc - stats.qc_mean) / stats.qc_std, 0.0)
-    if use_qc:
-        return np.concatenate([phys, qc, qc_mask], axis=1)
-    return phys
+        if use_qc:
+            out[:, PHYS_DIM:PHYS_DIM + QC_DIM] = np.where(
+                rec.qc_mask == 1.0, (rec.qc - stats.qc_mean) / stats.qc_std, 0.0)
+    return out
 
 
 def standardize(blocks, stats):
-    """Z-scored feature blocks: views of the rows of ``feature_matrix``."""
-    return [FeatureBlock(phys=row[:PHYS_DIM], qc=row[PHYS_DIM:PHYS_DIM + QC_DIM],
-                         qc_mask=row[PHYS_DIM + QC_DIM:])
-            for row in feature_matrix(blocks, use_qc=True, stats=stats)]
+    """The z-scored record: views of the columns of ``feature_matrix``."""
+    out = feature_matrix(blocks, use_qc=True, stats=stats)
+    return FeatureBlock(phys=out[:, :PHYS_DIM], qc=out[:, PHYS_DIM:PHYS_DIM + QC_DIM],
+                        qc_mask=out[:, PHYS_DIM + QC_DIM:])
 
 
 def fuse(z, block, use_qc=True):
-    """Concatenate fingerprint and descriptor block into the head input.
+    """Concatenate fingerprint and one molecule's block into the head input.
 
     Layout: [z | phys | qc | qc_mask] (508 dims with H=300), or
     [z | phys] (500) when the quantum block is ablated.

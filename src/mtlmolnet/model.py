@@ -230,9 +230,9 @@ def train(table, cfg, progress=None):
     """Train on the table's train split, selecting by mean validation metric.
 
     The table must be loaded; features are prepared (built-in descriptors)
-    if missing. The table's blocks stay raw: the descriptors are
-    standardized once into a matrix that batches index. Returns the best
-    parameters, per-epoch history rows and the training-split feature
+    if missing. The table's descriptor record stays raw: it is standardized
+    once into a matrix whose rows batches and validation take. Returns the
+    best parameters, per-epoch history rows and the training-split feature
     statistics needed to standardize new inputs.
     """
     if table.pack is None or table.blocks is None:
@@ -241,7 +241,7 @@ def train(table, cfg, progress=None):
     train_view = data_mod.select_split(table, "train")
     if len(train_view) == 0:
         raise data_mod.EmptyDataset("train split is empty")
-    stats = feat.fit_stats(table.blocks, indices=train_view.rows.tolist())
+    stats = feat.fit_stats(table.blocks, indices=train_view.rows)
     stats.phys_source = table.phys_source
     features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
 
@@ -279,8 +279,7 @@ def train(table, cfg, progress=None):
         except ad.NonFiniteValue as err:
             raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
 
-        val_scores = (evaluate_split(table, params, cfg, "val", stats)
-                      if len(val_view) else {})
+        val_scores = evaluate_split(table, params, "val", features) if len(val_view) else {}
         usable = [v for v in val_scores.values() if v is not None]
         mean_metric = float(np.mean(usable)) if usable else 0.0
         if mean_metric > best_metric:
@@ -339,15 +338,13 @@ def embed_rows(pack, rows, encoder):
                            for graphs, union, _ in _chunks(pack, rows)])
 
 
-def evaluate_split(table, params, cfg, split, stats):
-    """Per-task metric on a split, standardizing the table's raw blocks
-    with ``stats``; None where the metric is undefined."""
+def evaluate_split(table, params, split, features):
+    """Per-task metric on a split, scored on its rows of the table's
+    standardized descriptor matrix ``features``; None where undefined."""
     view = data_mod.select_split(table, split)
     if len(view) == 0:
         return {spec.name: None for spec in table.specs}
-    features = feat.feature_matrix([table.blocks[r] for r in view.rows],
-                                   use_qc=cfg.use_qc, stats=stats)
-    probs = predict_rows(table.pack, view.rows, features, params)
+    probs = predict_rows(table.pack, view.rows, features[view.rows], params)
     labels = table.labels[view.rows]
     out = {}
     for t, spec in enumerate(table.specs):

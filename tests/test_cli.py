@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
 from mtlmolnet import cli
+from mtlmolnet import features as feat
 from mtlmolnet import metrics as met
 from mtlmolnet import model as mdl
 from mtlmolnet.checkpoint import load_checkpoint
@@ -91,15 +92,33 @@ class TestTrainCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {qc}:3: non-finite value 'nan'"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.insert(3, lines[3].rsplit(",", 1)[0]),
+         "4: expected 6 fields as in the header, got 5"),
+        (lambda lines: lines.insert(3, lines[3] + ",x"),
+         "4: expected 6 fields as in the header, got 7"),
+        (lambda lines: lines.__setitem__(0, lines[0] + ",task0"),
+         "1: column(s) ['task0'] named twice in the header"),
+    ], ids=["short_row", "long_row", "label_column_twice"])
+    def test_malformed_dataset_exits_3(self, tmp_path, capsys, edit, message):
+        flags = small_flags(tmp_path)
+        data = Path(flags[flags.index("--data") + 1])
+        lines = data.read_text().splitlines()
+        edit(lines)
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", *flags]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {data}:{message}"]
+
     @pytest.mark.parametrize("epochs, passes", [("3", 3), ("0", 1)])
     def test_one_validation_pass_per_epoch(self, tmp_path, monkeypatch, capsys, epochs,
                                            passes):
         splits = []
         evaluate = mdl.evaluate_split
 
-        def counted(table, params, cfg, split, stats):
+        def counted(table, params, split, features):
             splits.append(split)
-            return evaluate(table, params, cfg, split, stats)
+            return evaluate(table, params, split, features)
 
         monkeypatch.setattr(mdl, "evaluate_split", counted)
         flags = small_flags(tmp_path, epochs=epochs)
@@ -109,7 +128,8 @@ class TestTrainCommand:
         params, cfg, stats, specs = load_checkpoint(tmp_path / "runs" / "model_seed0.ckpt")
         table, _ = cli._load_table(cfg, {key: flags[flags.index(f"--{key}") + 1]
                                          for key in ("data", "tasks", "qc")})
-        report = met.aggregate([evaluate(table, params, cfg, "val", stats)],
+        features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
+        report = met.aggregate([evaluate(table, params, "val", features)],
                                metrics={s.name: s.metric for s in specs})
         report.to_csv(tmp_path / "expected.csv")
         assert ((tmp_path / "runs" / "val_report.csv").read_bytes()

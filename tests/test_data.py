@@ -61,6 +61,26 @@ class TestLoad:
         with pytest.raises(BadLabelValue, match="row 4,"):
             load_dataset(p, SPECS)
 
+    @pytest.mark.parametrize("header, rows, message", [
+        (HEADER, ["CCO,1,train,,,1", "CCN,0,train,,"],
+         ":3: expected 6 fields as in the header, got 5"),
+        (HEADER, ["CCO,1,train,,,1", "CCN"], ":3: expected 6 fields as in the header, got 1"),
+        (HEADER, ["CCO,1,train,,,1", "CCN,0,train,,,1,1"],
+         ":3: expected 6 fields as in the header, got 7"),
+        (HEADER + ",A", ["CCO,1,train,,,1,0"],
+         ":1: column(s) ['A'] named twice in the header"),
+        (HEADER + ",fold,smiles", ["CCO,1,train,,,1,1,CCC"],
+         ":1: column(s) ['fold', 'smiles'] named twice in the header"),
+    ])
+    def test_malformed_row_refused_naming_its_line(self, tmp_path, header, rows, message):
+        p = write_csv(tmp_path, rows, header=header)
+        with pytest.raises(dat.DatasetError, match=re.escape(f"{p}{message}")):
+            load_dataset(p, SPECS)
+
+    def test_unread_column_may_repeat(self, tmp_path):
+        p = write_csv(tmp_path, ["CCO,1,train,,,1,x,y"], header=HEADER + ",note,note")
+        assert load_dataset(p, SPECS).smiles == ["CCO"]
+
     def test_bad_split_tag(self, tmp_path):
         p = write_csv(tmp_path, ["CCO,1,holdout,,,1"])
         with pytest.raises(BadSplitTag):

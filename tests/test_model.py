@@ -10,6 +10,7 @@ import synth
 
 from mtlmolnet import autodiff as ad
 from mtlmolnet import data as dat
+from mtlmolnet import features as feat
 from mtlmolnet import model as mdl
 from mtlmolnet import smiles
 from mtlmolnet.autodiff import Tensor, sigmoid
@@ -437,6 +438,43 @@ class TestTrain:
         assert len(stepped) == 8 and all(stepped)
         assert len(held) == 12 and not any(held)
         assert graded() == []
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_descriptor_matrix_built_once(self, tmp_path, monkeypatch, epochs):
+        # validation takes its rows of the matrix training built
+        calls = []
+        build = feat.feature_matrix
+
+        def feature_matrix(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(feat, "feature_matrix", feature_matrix)
+        train(toy_table(tmp_path), small_cfg(epochs=epochs))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", ["qw-mtl", "multi-rdkit-beta"])
+    def test_block_list_trains_like_the_record(self, tmp_path, variant):
+        # a table whose record was replaced by its per-molecule blocks, as
+        # perfbench's train workloads restore it, trains to the same bits
+        qc = synth.write_qc_csv(tmp_path / "qc.csv", toy_table(tmp_path).smiles, seed=2)
+        keys = ("loss", "r", "beta_eff", "w", "val_metric")
+        runs = []
+        for as_list in (False, True):
+            table = dat.prepare_table(toy_table(tmp_path), qc_path=qc)
+            if as_list:
+                table.blocks = list(table.blocks)
+            result = train(table, small_cfg(variant=variant, epochs=3))
+            runs.append((
+                [(row["epoch"], row["task"]) for row in result.history],
+                np.array([[row[k] for k in keys] for row in result.history], dtype=float),
+                result.params.store.flat.copy(),
+                result.best_epoch,
+            ))
+        (names_a, hist_a, flat_a, best_a), (names_b, hist_b, flat_b, best_b) = runs
+        assert names_a == names_b and best_a == best_b
+        np.testing.assert_array_equal(hist_a.view(np.int64), hist_b.view(np.int64))
+        np.testing.assert_array_equal(flat_a.view(np.int64), flat_b.view(np.int64))
 
     def test_uniform_variant_weights_binary(self, tmp_path):
         table = toy_table(tmp_path)
