@@ -19,8 +19,9 @@ with ``_kernels.scatter_add_rows``, a pure-numpy kernel that adds duplicate
 indices in row order and so matches ``np.add.at`` bit for bit.
 
 ``message`` and ``add_relu`` are the two nodes of one message-passing step,
-each with a hand-written backward: one array per node stays on the tape,
-not one per elementary op, and the bits are those of the elementary ops.
+and ``task_heads`` runs every task head as one node; each has a hand-written
+backward: one array per node stays on the tape, not one per elementary op,
+and the bits are those of the elementary ops.
 
 A model's parameters live in a ``ParamStore``: one flat float64 vector
 whose reshaped views are the leaf Tensors' ``data``. ``Adam`` runs in place
@@ -148,10 +149,10 @@ def _toposort(root):
     return order
 
 
-def _check_finite(data, op, parents):
-    if not np.all(np.isfinite(data)):
+def _check_finite(data, op, inputs):
+    if not np.isfinite(data).all():
         n_bad = int(data.size - np.count_nonzero(np.isfinite(data)))
-        shapes = ", ".join(str(p.data.shape) for p in parents)
+        shapes = ", ".join(str(x.shape) for x in inputs)
         raise NonFiniteValue(
             f"{op} produced {n_bad} non-finite value(s) (input shapes: {shapes})"
         )
@@ -173,9 +174,12 @@ def no_grad():
         _recording = saved
 
 
-def _make(data, op, parents, backward_fn):
+def _make(data, op, parents, backward_fn, inputs=None):
+    """The Tensor of ``data``, recorded with its parents and backward when
+    any parent tracks gradients; a non-finite value raises, naming ``op``
+    and the shapes of ``inputs`` (the parents by default)."""
     data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, op, parents)
+    _check_finite(data, op, parents if inputs is None else inputs)
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -291,13 +295,14 @@ def concat(tensors, axis=0):
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as err:
         raise ShapeMismatch(f"concat: {err}") from None
+    lead = (slice(None),) * (axis % data.ndim)
     sizes = [t.data.shape[axis] for t in tensors]
+    parts = [lead + (slice(end - size, end),)
+             for size, end in zip(sizes, itertools.accumulate(sizes))]
     reqs = [t.requires_grad for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward_fn(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple(p if r else None for p, r in zip(parts, reqs))
+        return tuple(g[part] if r else None for part, r in zip(parts, reqs))
 
     return _make(data, "concat", tuple(tensors), backward_fn)
 
@@ -387,6 +392,58 @@ def add_relu(a, b):
     return _make(data, "add_relu", (a, b), backward_fn)
 
 
+def task_heads(x, w1, b1, w2, b2, leaves):
+    """Logits [B x T] of T two-layer heads on one input x [B x D], as one
+    node: column t is relu(x @ w1[t] + b1[t]) @ w2[t] + b2[t], for arrays
+    w1 [T x D x F], b1 [T x F], w2 [T x F] and b2 [T]. The node's other
+    parents, ``leaves``, are w1, b1, w2 and b2 of each head in turn, the
+    Tensors whose data are the slices t of those arrays; each gets a view of
+    the stacked gradient.
+
+    Every product is one GEMM per head, so forward and backward give the
+    bits of the per-head matmul/add/relu/concat composition. Three layouts
+    keep them: x's gradient adds the heads' terms one at a time from head
+    0; w2's gradient reads each column of g in place, with the row stride
+    concat's backward handed each head; b2's gradient sums the rows of a
+    contiguous [T x B] copy of g. The pre-activation is checked as well as
+    the logits, since relu maps an overflow to 0.
+    """
+    x = _lift(x)
+    if x.data.ndim != 2 or x.data.shape[1] != w1.shape[1]:
+        raise ShapeMismatch(f"task_heads: input {x.data.shape} for heads {w1.shape}")
+    inputs = (x, w1, b1, w2, b2)
+    hidden = np.matmul(x.data, w1)
+    hidden += b1[:, None, :]
+    _check_finite(hidden, "task_heads", inputs)
+    np.maximum(hidden, 0.0, out=hidden)
+    out = np.matmul(hidden, w2[..., None])[..., 0]
+    out += b2[:, None]
+    data = np.ascontiguousarray(out.T)
+    xd, x_req = x.data, x.requires_grad
+    reqs = [p.requires_grad for p in leaves]
+
+    def backward_fn(g):
+        g_cols = g.T[..., None]
+        g_hidden = np.matmul(g_cols, w2[:, None, :])
+        g_hidden *= hidden > 0
+        dx = None
+        if x_req:
+            terms = np.matmul(g_hidden, w1.transpose(0, 2, 1))
+            dx = terms[0]
+            for term in terms[1:]:
+                dx = dx + term
+        dw1 = np.matmul(xd.T, g_hidden)
+        db1 = g_hidden.sum(axis=1)
+        dw2 = np.matmul(hidden.transpose(0, 2, 1), g_cols)
+        db2 = np.ascontiguousarray(g.T).sum(axis=1)
+        grads = [dx]
+        for t in range(len(db2)):
+            grads += (dw1[t], db1[t], dw2[t], db2[t:t + 1])
+        return [pg if r else None for pg, r in zip(grads, (x_req, *reqs))]
+
+    return _make(data, "task_heads", (x, *leaves), backward_fn, inputs)
+
+
 def _logistic(xd):
     """(1 / (1 + e^-x), e^-|x|) for an array, in the overflow-safe form that
     divides by 1 + e^-|x| on both sides of 0."""
@@ -458,14 +515,15 @@ class ParamStore:
     """Parameter Tensors whose ``data`` are views into one flat float64
     vector, in the order of ``shapes``, a list of ``(name, shape)``. The
     vector is ``flat`` when given (a checkpoint loader reads into it, so it
-    need not be zeroed first), else a new zero vector. A snapshot is
-    ``flat.copy()`` and a restore ``flat[...] = snapshot``; the views are
-    never rebound."""
+    need not be zeroed first), else a new zero vector; ``starts`` maps each
+    name to its offset there. A snapshot is ``flat.copy()`` and a restore
+    ``flat[...] = snapshot``; the views are never rebound."""
 
     def __init__(self, shapes, flat=None):
         sizes = [math.prod(shape) for _, shape in shapes]
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
-        ends = itertools.accumulate(sizes)
+        ends = list(itertools.accumulate(sizes))
+        self.starts = {name: end - size for (name, _), size, end in zip(shapes, sizes, ends)}
         self.tensors = {name: Tensor(self.flat[end - size:end].reshape(shape),
                                      requires_grad=True)
                         for (name, shape), size, end in zip(shapes, sizes, ends)}

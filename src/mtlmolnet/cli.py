@@ -487,7 +487,8 @@ def cmd_bench(args):
     t_single = args.t_single
     reps = max(args.reps, 3)
     # simulate t_single independent models: one encoder pass per head
-    single_models = [dataclasses.replace(params, heads=[params.heads[t % len(params.heads)]])
+    n_heads = len(params.heads)
+    single_models = [dataclasses.replace(params, heads=params.heads[t % n_heads:t % n_heads + 1])
                      for t in range(t_single)]
 
     def multi_task_pass():

@@ -16,8 +16,10 @@ beta_t until beta_max stops it.
 
 With uniform weighting, w_t is 1 for every task present in the batch.
 A model's parameters are views into one ``ParamStore`` vector, so the best
-epoch's snapshot is one copy of it. Training's ``forward`` and serving's
-``predict_rows`` run one encode -> fuse -> heads body; serving keeps no tape.
+epoch's snapshot is one copy of it, and the heads run as one autodiff node
+over stacked views of their stretch of it (``TaskHeads``). Training's
+``forward`` and serving's ``predict_rows`` run one encode -> fuse -> heads
+body; serving keeps no tape.
 """
 
 from dataclasses import dataclass
@@ -55,6 +57,44 @@ class HeadParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
+
+
+@dataclass
+class TaskHeads:
+    """The T task heads as views of their blocks of the parameter vector
+    (w1 [D x F], b1 [F], w2 [F x 1] and b2 [1] per head, as
+    ``TrainConfig.param_shapes`` lays them out), stacked: ``w1`` [T x D x F],
+    ``b1`` [T x F], ``w2`` [T x F] and ``b2`` [T]. ``leaves`` are the heads'
+    parameter Tensors in layout order. ``heads[t]`` is head t's
+    ``HeadParams``; a slice, such as ``heads[a:b]``, selects heads on the same
+    views."""
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    leaves: list
+
+    def __len__(self):
+        return len(self.b2)
+
+    def __getitem__(self, key):
+        picked = range(len(self))[key]
+        if isinstance(key, slice):
+            return TaskHeads(self.w1[key], self.b1[key], self.w2[key], self.b2[key],
+                             [leaf for t in picked for leaf in self.leaves[4 * t:4 * t + 4]])
+        return HeadParams(*self.leaves[4 * picked:4 * picked + 4])
+
+    @classmethod
+    def of_store(cls, store, n_tasks, d, f):
+        """The heads of ``store``, ``head0.w1`` onwards, for ``n_tasks``
+        heads of input width ``d`` and hidden width ``f``."""
+        start, width = store.starts.get("head0.w1", 0), d * f + 2 * f + 1
+        block = store.flat[start:start + n_tasks * width].reshape(n_tasks, width)
+        leaves = [store.tensors[f"head{t}.{k}"] for t in range(n_tasks)
+                  for k in ("w1", "b1", "w2", "b2")]
+        return cls(block[:, :d * f].reshape(n_tasks, d, f), block[:, d * f:d * f + f],
+                   block[:, d * f + f:-1], block[:, -1], leaves)
 
 
 class WeightingState:
@@ -96,7 +136,7 @@ class ModelParams:
     ``TrainConfig.param_shapes``."""
 
     encoder: enc.EncoderParams
-    heads: list
+    heads: TaskHeads
     weighting: WeightingState
     store: ad.ParamStore
 
@@ -117,8 +157,7 @@ def zero_model(cfg, n_tasks, flat=None):
     store = ad.ParamStore(cfg.param_shapes(n_tasks), flat)
     t = store.tensors
     t["log_beta"].requires_grad = cfg.learnable_beta
-    heads = [HeadParams(**{k: t[f"head{i}.{k}"] for k in ("w1", "b1", "w2", "b2")})
-             for i in range(n_tasks)]
+    heads = TaskHeads.of_store(store, n_tasks, cfg.fused_dim, cfg.ffn_hidden)
     weighting = WeightingState(n_tasks, beta_min=cfg.beta_min, beta_max=cfg.beta_max,
                                uniform=not cfg.learnable_beta, log_beta=t["log_beta"])
     return ModelParams(encoder=enc.encoder_params(t, cfg), heads=heads,
@@ -179,13 +218,9 @@ def total_loss(per_task_loss, weights):
 
 
 def head_logits(x, heads):
-    """Logits [B x T] of the task heads on the fused input ``x``, one
-    column per head."""
-    cols = []
-    for head in heads:
-        hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
-        cols.append(ad.add(ad.matmul(hidden, head.w2), head.b2))
-    return ad.concat(cols, axis=1)
+    """Logits [B x T] of the ``TaskHeads`` on the fused input ``x``, one
+    column per head, as one autodiff node."""
+    return ad.task_heads(x, heads.w1, heads.b1, heads.w2, heads.b2, heads.leaves)
 
 
 def _fused_logits(graphs, union, features, params):

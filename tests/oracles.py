@@ -11,6 +11,10 @@ hand-written backwards (``autodiff.message``, ``autodiff.add_relu``);
 ``message_composed`` and ``add_relu_composed`` state the same step with one
 elementary op per node: scatter_add, two row gathers, sub, add and relu.
 
+``model.head_logits`` runs every task head as one autodiff node
+(``autodiff.task_heads``); ``heads_composed`` runs them one at a time as
+matmul, add, relu, matmul and add, joined by concat.
+
 ``metrics.auroc`` and ``metrics.auprc`` find the runs of tied scores with
 numpy; ``auroc_loop`` and ``auprc_loop`` walk them one score at a time.
 
@@ -175,6 +179,16 @@ def message_composed(h, src, dst, rev, num_atoms):
 def add_relu_composed(a, b):
     """``autodiff.add_relu`` from elementary ops."""
     return ad.relu(ad.add(a, b))
+
+
+def heads_composed(x, heads):
+    """``model.head_logits`` from elementary ops, one head at a time."""
+    cols = []
+    for t in range(len(heads)):
+        head = heads[t]
+        hidden = ad.relu(ad.add(ad.matmul(x, head.w1), head.b1))
+        cols.append(ad.add(ad.matmul(hidden, head.w2), head.b2))
+    return ad.concat(cols, axis=1)
 
 
 def backward_keep_tape(root):
