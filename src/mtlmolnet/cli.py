@@ -254,28 +254,35 @@ def write_history(path, rows):
 
 
 def read_history(path):
+    """The rows of a history CSV. A row of another width than the header,
+    a bad number or a non-finite one is refused by file and line."""
     if not Path(path).exists():
         raise HistoryMissing(f"history file {path!r} not found")
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = reader.fieldnames or _HISTORY_COLUMNS  # an empty file is refused below
-        missing = [c for c in _HISTORY_COLUMNS if c not in columns]
+        reader = csv.reader(fh)
+        header = next(reader, _HISTORY_COLUMNS)  # an empty file is refused below
+        missing = [c for c in _HISTORY_COLUMNS if c not in header]
         if missing:
             raise dat.DatasetError(f"{path}: history lacks column(s) {', '.join(missing)}")
-        for row in reader:
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(fields) != len(header):
+                raise dat.DatasetError(f"{where}: expected {len(header)} fields as in the "
+                                       f"header, got {len(fields)}")
+            cells = dict(zip(header, fields))
             try:
-                rows.append({
-                    "epoch": int(row["epoch"]),
-                    "task": row["task"],
-                    "loss": float(row["loss"]),
-                    "r": float(row["r"]),
-                    "beta_eff": float(row["beta_eff"]),
-                    "w": float(row["w"]),
-                    "val_metric": float(row["val_metric"]) if row["val_metric"] else None,
-                })
-            except (TypeError, ValueError) as err:
-                raise dat.DatasetError(f"{path}, line {reader.line_num}: {err}") from None
+                row = {"epoch": int(cells["epoch"]), "task": cells["task"],
+                       **{c: float(cells[c]) for c in _HISTORY_COLUMNS[2:6]},
+                       "val_metric": float(cells["val_metric"]) if cells["val_metric"] else None}
+            except ValueError as err:
+                raise dat.DatasetError(f"{where}: {err}") from None
+            for c in _HISTORY_COLUMNS[2:]:
+                if row[c] is not None and not math.isfinite(row[c]):
+                    raise dat.DatasetError(f"{where}: non-finite {c} {cells[c]!r}")
+            rows.append(row)
     if not rows:
         raise HistoryMissing(f"history file {path!r} is empty")
     return rows
@@ -481,6 +488,8 @@ def bench_flop_ratio(cfg, n_tasks, t_single, avg_atoms, avg_edges):
 def cmd_bench(args):
     if args.t_single < 1:
         raise ConfigError(f"--t-single must be >= 1, got {args.t_single}")
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     params, cfg, stats, specs = _load_serving(args)
     mols, pack, features = _prepare_request(args, cfg, stats)
     rows = np.arange(len(mols))
@@ -508,8 +517,8 @@ def cmd_bench(args):
     multi, single = times[:, 0], times[:, 1]
     speedup = float(np.median(single / multi))
 
-    avg_atoms = float(np.mean([g.n_atoms for g in pack.graphs]))
-    avg_edges = float(np.mean([2 * g.n_bonds for g in pack.graphs]))
+    avg_atoms = float(np.mean(np.diff(pack.codes.atom_off)))
+    avg_edges = float(np.mean(2 * np.diff(pack.codes.bond_off)))
     flop_ratio = bench_flop_ratio(cfg, len(specs), t_single, avg_atoms, avg_edges)
 
     print(f"n_molecules,{len(mols)}")
@@ -556,7 +565,7 @@ def cmd_analyze(args):
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
                                    "the PCA needs at least two")
         mols = [table.smiles[r] for r in view.rows]
-        pack = enc.pack_graphs(dat.parse_molecules(mols))
+        pack = enc.pack_codes(smiles.parse_codes(mols))
     out_dir = _out_dir(args.out)
 
     last_epoch = max(row["epoch"] for row in history)

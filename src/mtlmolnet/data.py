@@ -71,7 +71,7 @@ class TaskTable:
     fold: np.ndarray
     specs: list
     blocks: feat.FeatureBlock = field(default=None)  # raw (unstandardized)
-    pack: enc.GraphPack = field(default=None)  # the parsed graphs (pack.graphs), packed once
+    pack: enc.GraphPack = field(default=None)  # the parsed molecules, packed once
     phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
     @property
@@ -195,36 +195,24 @@ def load_dataset(path, specs):
     )
 
 
-def parse_molecules(smiles_list):
-    """The parsed graphs of a non-empty list of SMILES. A refusal keeps its
-    type and offset, and its message names the molecule's 1-based position
-    and its SMILES."""
-    if not smiles_list:
-        raise EmptyDataset("no molecules to prepare")
-    graphs = []
-    for i, s in enumerate(smiles_list, 1):
-        try:
-            graphs.append(smiles.parse_smiles(s))
-        except smiles.SmilesError as err:
-            err.args = (f"molecule {i} ({s!r}): {err}",)
-            raise
-    return graphs
-
-
 def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     """Parse SMILES, pack them, and build their raw descriptor record.
 
     The one preparation path of training, evaluation, prediction and bench;
-    analysis, which reads no descriptors, packs ``parse_molecules`` alone.
-    Only parsing runs per molecule: ``enc.pack_graphs`` fills the features
-    for the whole pack at once, and the built-in descriptors are computed
-    from the pack's codes. Descriptors are the built-in set unless an
-    external 200-dim file is given; quantum values come from ``qc_path`` or
-    stay fully masked. Returns ``(pack, record)``: the GraphPack of the
-    parsed graphs (``pack.graphs``, left as the parser made them) and the
+    analysis, which reads no descriptors, packs ``smiles.parse_codes``
+    alone. Only parsing runs per molecule: ``smiles.parse_codes`` appends
+    each molecule's codes to list-wide columns, ``enc.pack_codes`` fills
+    the features for the whole pack at once, and the built-in descriptors
+    are computed from the same codes. Descriptors are the built-in set
+    unless an external 200-dim file is given; quantum values come from
+    ``qc_path`` or stay fully masked. Returns ``(pack, record)``: the
+    GraphPack of the molecules (``pack.graphs`` views its rows) and the
     unstandardized FeatureBlock of their descriptors, a row per molecule.
+    A refusal names the molecule's 1-based position and its SMILES.
     """
-    pack = enc.pack_graphs(parse_molecules(smiles_list))
+    if not smiles_list:
+        raise EmptyDataset("no molecules to prepare")
+    pack = enc.pack_codes(smiles.parse_codes(smiles_list))
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, smiles_list)
     else:
@@ -239,8 +227,8 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
 
 def prepare_table(table, phys_path=None, qc_path=None):
     """Prepare every row's SMILES with ``prepare_molecules`` and attach the
-    pack (``table.pack``, which holds the graphs), the raw descriptor
-    record and the phys source."""
+    pack (``table.pack``, whose ``graphs`` view its rows), the raw
+    descriptor record and the phys source."""
     table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path)
     table.phys_source = feat.phys_source(phys_path)
     return table

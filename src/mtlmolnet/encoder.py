@@ -11,13 +11,15 @@ alike.
 
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
-them one at a time because no edges cross molecules. ``pack_graphs`` is
-the one place graphs become arrays: a table's parsed graphs are read and
-featurized once, all together, into a ``GraphPack`` of flat arrays (like
-Chemprop's ``BatchMolGraph``), and a batch's union is a vectorised gather
-from it, whose directed edges come from the rows' bond ends in the one
-layout of ``smiles._directed_edges``. Packing reads the graphs and writes
-nothing into them. A list encoded without a union is packed the same way.
+them one at a time because no edges cross molecules. ``pack_codes`` is the
+one packer: a table's parsed codes (``smiles.parse_codes``) are featurized
+once, all together, into a ``GraphPack`` of flat arrays (like Chemprop's
+``BatchMolGraph``), and a batch's union is a vectorised gather from it,
+whose directed edges come from the rows' bond ends in the one layout of
+``smiles._directed_edges``. A list of graphs (``MolGraph`` views of rows
+of codes) is packed by joining its rows' codes, with the offset arithmetic
+of the gather (``GraphCodes.spans``); packing writes nothing into the
+graphs. A list encoded without a union is packed that way.
 """
 
 import math
@@ -98,30 +100,24 @@ class UnionGraph:
 
 @dataclass
 class GraphPack:
-    """Molecule graphs packed once into flat arrays with offsets.
+    """Parsed molecules packed once into flat arrays with offsets.
 
-    ``codes`` are the integer codes the features were filled from, with
-    each row's atom and bond offsets: ``gather`` reads the offsets and the
-    bond ends from them, and the built-in descriptors read them too.
+    ``codes`` are the ``smiles.GraphCodes`` the features were filled from:
+    ``gather`` reads each row's offsets and bond ends from them, and the
+    built-in descriptors read them too. ``graphs`` holds a ``MolGraph``
+    view of each row, made once per pack.
     """
 
-    graphs: list
+    codes: smiles.GraphCodes
     atom_features: np.ndarray  # [A x F_a]
     bond_features: np.ndarray  # [M x F_b], one row per bond
-    codes: smiles.GraphCodes
+    graphs: list
 
     def gather(self, rows):
-        """The UnionGraph of the graphs at ``rows``, in that order."""
+        """The UnionGraph of the molecules at ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
-        atom_off, bond_off = self.codes.atom_off, self.codes.bond_off
-        n_atoms = atom_off[rows + 1] - atom_off[rows]
-        n_bonds = bond_off[rows + 1] - bond_off[rows]
+        atom_idx, bond_idx, n_atoms, n_bonds = self.codes.spans(rows)
         atom_base = np.cumsum(n_atoms) - n_atoms  # first batch atom of each row
-        bond_base = np.cumsum(n_bonds) - n_bonds
-        atom_idx = (np.repeat(atom_off[rows] - atom_base, n_atoms)
-                    + np.arange(n_atoms.sum()))
-        bond_idx = (np.repeat(bond_off[rows] - bond_base, n_bonds)
-                    + np.arange(n_bonds.sum()))
         src, dst, bond, rev = smiles._directed_edges(
             self.codes.ends[:, bond_idx] + np.repeat(atom_base, n_bonds))
         return UnionGraph(
@@ -135,22 +131,23 @@ class GraphPack:
         )
 
 
-def pack_graphs(graphs):
-    """Pack parsed MolGraphs into one GraphPack.
+def pack_codes(codes):
+    """Pack parsed molecules' ``smiles.GraphCodes`` into one GraphPack,
+    filling the features of all of them at once."""
+    if not np.diff(codes.atom_off).all():
+        raise EmptyMolecule("graph has no atoms")
+    atom_features, bond_features = smiles.fill_features(codes)
+    return GraphPack(codes=codes, atom_features=atom_features, bond_features=bond_features,
+                     graphs=[smiles.MolGraph(codes, row) for row in range(len(codes.components))])
 
-    The graphs' atoms and bonds are read once into ``smiles.GraphCodes``,
-    and the pack's features are filled from those codes for all graphs at
-    once. The graphs themselves are left as they were.
-    """
+
+def pack_graphs(graphs):
+    """Pack a list of MolGraph views into one GraphPack: ``pack_codes`` of
+    their rows' codes joined in list order. The graphs are left as they
+    were."""
     if not graphs:
         raise EmptyMolecule("empty graph batch")
-    for g in graphs:
-        if not g.atoms:
-            raise EmptyMolecule("graph has no atoms")
-    codes = smiles.read_codes(graphs)
-    atom_features, bond_features = smiles.fill_features(codes)
-    return GraphPack(graphs=graphs, atom_features=atom_features, bond_features=bond_features,
-                     codes=codes)
+    return pack_codes(smiles.graph_codes(graphs))
 
 
 def encode_batch(graphs, params, union=None):

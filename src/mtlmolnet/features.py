@@ -52,10 +52,10 @@ ATOMIC_MASS = {
     "Br": 79.904, "Se": 78.971, "I": 126.904,
 }
 
-# per smiles.ELEMENT_ORDER index, with the trailing "other" slot last
-_MASS_OF_ELEMENT = np.array([ATOMIC_MASS.get(e, 0.0) for e in smiles.ELEMENT_ORDER] + [0.0])
-_IS_HALOGEN = np.array([e in ("F", "Cl", "Br", "I") for e in smiles.ELEMENT_ORDER] + [False])
-_HYDROGEN, _CARBON, _NITROGEN, _OXYGEN = (smiles.ELEMENT_ORDER.index(e) for e in "HCNO")
+# per element code, an index into smiles.ELEMENTS
+_MASS_OF_ELEMENT = np.array([ATOMIC_MASS.get(e, 0.0) for e in smiles.ELEMENTS])
+_IS_HALOGEN = np.array([e in ("F", "Cl", "Br", "I") for e in smiles.ELEMENTS])
+_HYDROGEN, _CARBON, _NITROGEN, _OXYGEN = (smiles.ELEMENTS.index(e) for e in "HCNO")
 
 
 class FeatureFileError(ValueError):
@@ -120,7 +120,7 @@ class FeatureStats:
 
 
 def builtin_phys_matrix(codes):
-    """[N x PHYS_DIM] built-in descriptor blocks of the graphs read into
+    """[N x PHYS_DIM] built-in descriptor blocks of the molecules of
     ``codes`` (``smiles.GraphCodes``): the 16 descriptors of
     BUILTIN_DESCRIPTOR_NAMES, zero-padded, each summed per molecule with
     one ``np.bincount`` over all atoms or bonds.
@@ -186,7 +186,7 @@ def builtin_phys_matrix(codes):
 def builtin_phys_block(g):
     """Built-in descriptors of one parsed graph, zero-padded to the full
     200-dim layout."""
-    return builtin_phys_matrix(smiles.read_codes([g]))[0]
+    return builtin_phys_matrix(smiles.graph_codes([g]))[0]
 
 
 def compute_phys_descriptors(g):

@@ -24,28 +24,31 @@ junction atoms pass.
 
 Parse errors carry the byte offset of the offending token.
 
-``parse_smiles`` is the one per-molecule step: it tokenizes with one
-compiled regex (as in the SMILES tokenizer of Schwaller et al., ACS Cent.
-Sci. 2019) and reads each bracket atom with a second one, whose parts all
-are optional so that where a match stops names the refusal. One marking
-pass finds the ring bonds: each non-tree bond marks its path through a
-spanning forest, the chain forest that the SMILES itself writes down, or a
-breadth-first one when a ring closure joins '.'-separated fragments. It
-then sums each atom's degree and valence in one pass over the bonds, which
-the hydrogen audit and the conjugation marking read. Everything after it
-works on many graphs at once: ``read_codes`` reads their atoms and
-bonds once into integer arrays, and ``fill_features`` builds the one-hot
-features of all of them with one fancy-index assignment per field, as
-Chemprop's ``BatchMolGraph`` builds a batch's arrays in one go. Directed
-edges are never stored with the codes: ``_directed_edges`` derives them
-from bond ends, for one graph's ``MolGraph.directed_edges`` and for a
-batch's gather from a pack alike.
+``parse_codes`` parses a list of SMILES straight into the int64 arrays of
+one ``GraphCodes``, as Chemprop's ``BatchMolGraph`` builds a batch's arrays
+in one go; that is the one representation of parsed molecules. Its
+per-molecule core tokenizes with one compiled regex (as in the SMILES
+tokenizer of Schwaller et al., ACS Cent. Sci. 2019) and reads each bracket
+atom with a second one, whose parts all are optional so that where a match
+stops names the refusal. One marking pass finds the ring bonds: each
+non-tree bond marks its path through a spanning forest, the chain forest
+that the SMILES itself writes down, or a breadth-first one when a ring
+closure joins '.'-separated fragments. It then sums each atom's degree and
+valence in one pass over the bonds, which the hydrogen audit and the
+conjugation marking read, and appends the molecule's columns to the
+list-wide ones. ``fill_features`` builds the one-hot features of all
+molecules with one fancy-index assignment per field. A ``MolGraph`` is a
+view of one row of the codes: ``parse_smiles`` returns one, and its
+``Atom`` and ``Bond`` objects are made only when read. Directed edges are
+never stored with the codes: ``_directed_edges`` derives them from bond
+ends, for one graph's ``MolGraph.directed_edges`` and for a batch's gather
+from a pack alike.
 """
 
-import operator
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -84,14 +87,20 @@ _ATOM_TOKENS = {e: (e, False, 0, 0, False)
                 for e in ("B", "C", "N", "O", "P", "S", "F", "I", "Cl", "Br")}
 _ATOM_TOKENS.update((e, (e.upper(), True, 0, 0, False)) for e in ("b", "c", "n", "o", "p", "s"))
 _MAX_ATOM_TOKENS = 4096
-# the 118 IUPAC element symbols, in atomic-number order; a bracket atom
-# naming anything else is refused
-_ELEMENTS = frozenset("""
+# the 118 IUPAC element symbols, in atomic-number order: the symbol table
+# that GraphCodes.element indexes. A bracket atom naming anything else is
+# refused
+ELEMENTS = tuple("""
     H He Li Be B C N O F Ne Na Mg Al Si P S Cl Ar K Ca Sc Ti V Cr Mn Fe Co Ni Cu Zn Ga Ge
     As Se Br Kr Rb Sr Y Zr Nb Mo Tc Ru Rh Pd Ag Cd In Sn Sb Te I Xe Cs Ba La Ce Pr Nd Pm
     Sm Eu Gd Tb Dy Ho Er Tm Yb Lu Hf Ta W Re Os Ir Pt Au Hg Tl Pb Bi Po At Rn Fr Ra Ac Th
     Pa U Np Pu Am Cm Bk Cf Es Fm Md No Lr Rf Db Sg Bh Hs Mt Ds Rg Cn Nh Fl Mc Lv Ts Og
 """.split())
+_ELEMENTS = {e: code for code, e in enumerate(ELEMENTS)}  # symbol -> code
+# per element code: its one-hot feature slot, ELEMENT_ORDER's index or the
+# trailing "other" slot
+_FEATURE_SLOT = np.array([ELEMENT_ORDER.index(e) if e in ELEMENT_ORDER else len(ELEMENT_ORDER)
+                          for e in ELEMENTS])
 # the inside of a bracket atom; every part is optional, so where a match
 # stops names the part that is malformed
 _BRACKET = re.compile(r"""
@@ -171,41 +180,64 @@ class Bond:
     in_ring: bool = False
 
 
+def _span(offsets, row):
+    """(start, stop) of row ``row``'s columns under ``offsets``."""
+    start, stop = offsets[row:row + 2].tolist()
+    return start, stop
+
+
 @dataclass
 class MolGraph:
-    """Molecular graph with optional feature matrices.
+    """One parsed molecule: a view of row ``row`` of ``codes``, a GraphCodes.
 
+    Its counts and ``directed_edges`` are read from the codes, and its
+    ``atoms`` and ``bonds`` are built from them on each read.
     ``atom_features`` and ``bond_features`` stay None until ``featurize``
-    fills them; packing a graph reads its atoms and bonds and sets nothing.
+    fills them; packing a graph reads its codes and sets nothing.
     ``directed_edges`` is an int64 array of shape [2*n_bonds, 4] with
     columns (src_atom, dst_atom, bond_index, reverse_edge_index) in the
-    layout of ``_directed_edges``, built from the bonds on first use.
-    ``n_components`` is the number of connected components, counted by the
-    parser on the bond graph.
+    layout of ``_directed_edges``. ``n_components`` is the number of
+    connected components, counted by the parser on the bond graph.
     """
 
-    atoms: list
-    bonds: list
+    codes: "GraphCodes"
+    row: int
     atom_features: np.ndarray = None
     bond_features: np.ndarray = None
-    n_components: int = None
-    _edges = None
 
     @property
     def n_atoms(self):
-        return len(self.atoms)
+        start, stop = _span(self.codes.atom_off, self.row)
+        return stop - start
 
     @property
     def n_bonds(self):
-        return len(self.bonds)
+        start, stop = _span(self.codes.bond_off, self.row)
+        return stop - start
+
+    @property
+    def n_components(self):
+        return int(self.codes.components[self.row])
+
+    @property
+    def atoms(self):
+        start, stop = _span(self.codes.atom_off, self.row)
+        element, degree, charge, hydrogens, aromatic, ring = (
+            self.codes.atoms[:, start:stop].tolist())
+        return list(map(Atom, map(ELEMENTS.__getitem__, element), charge, hydrogens,
+                        map(bool, aromatic), map(bool, ring), degree))
+
+    @property
+    def bonds(self):
+        start, stop = _span(self.codes.bond_off, self.row)
+        order, conjugated, ring, a, b = self.codes.bonds[:, start:stop].tolist()
+        return list(map(Bond, a, b, map(BOND_ORDERS.__getitem__, order), map(bool, conjugated),
+                        map(bool, ring)))
 
     @property
     def directed_edges(self):
-        if self._edges is None:
-            ends = np.array([[b.a for b in self.bonds], [b.b for b in self.bonds]],
-                            dtype=np.int64).reshape(2, -1)
-            self._edges = _directed_edges(ends).T
-        return self._edges
+        start, stop = _span(self.codes.bond_off, self.row)
+        return _directed_edges(self.codes.ends[:, start:stop]).T
 
 
 def _parse_bracket(body, offset):
@@ -238,12 +270,52 @@ def _parse_bracket(body, offset):
     return element, aromatic is not None, 0 if h is None else int(h or 1), charge
 
 
+def _columns():
+    """Empty list-wide columns: per-atom codes, per-bond codes and per
+    molecule (atoms, bonds, components), which ``_parse`` appends to."""
+    return [[] for _ in range(6)], [[] for _ in range(5)], []
+
+
+def _codes(atom_cols, bond_cols, sizes):
+    """The GraphCodes of filled ``_columns``, each column one array."""
+    sizes = np.array(sizes, dtype=np.int64).reshape(-1, 3)
+    return GraphCodes(atoms=np.array(atom_cols, dtype=np.int64),
+                      bonds=np.array(bond_cols, dtype=np.int64),
+                      components=sizes[:, 2], atom_off=_offsets(sizes[:, 0]),
+                      bond_off=_offsets(sizes[:, 1]))
+
+
+def parse_codes(smiles_list):
+    """The GraphCodes of a list of SMILES, one row per molecule.
+
+    A refusal keeps its type and offset, and its message names the
+    molecule's 1-based position and its SMILES.
+    """
+    columns = _columns()
+    for i, s in enumerate(smiles_list, 1):
+        try:
+            _parse(s, *columns)
+        except SmilesError as err:
+            err.args = (f"molecule {i} ({s!r}): {err}",)
+            raise
+    return _codes(*columns)
+
+
 def parse_smiles(s):
-    """Parse a SMILES string into a MolGraph (features not yet populated).
+    """Parse a SMILES string into a MolGraph, the view of its own one-row
+    GraphCodes (features not yet populated).
 
     Raises UnknownAtomToken, UnbalancedParenthesis, UnmatchedRingClosure or
     ValenceViolation, each naming the byte offset of the problem.
     """
+    columns = _columns()
+    _parse(s, *columns)
+    return MolGraph(_codes(*columns), 0)
+
+
+def _parse(s, atom_cols, bond_cols, sizes):
+    """Parse one SMILES and append its atoms, bonds and counts to the
+    ``_columns``, which a refusal leaves as they were."""
     if not s:
         raise UnknownAtomToken("empty SMILES", 0)
     if not s.isascii():
@@ -390,12 +462,12 @@ def parse_smiles(s):
         for a, b, order in zip(bond_a, bond_b, orders)
     ]
 
-    return MolGraph(
-        atoms=list(map(Atom, elements, charges, hydrogens, aromatic, atom_ring, degree)),
-        bonds=list(map(Bond, bond_a, bond_b, [BOND_ORDERS[o] for o in orders], conjugated,
-                       ring)),
-        n_components=n_components,
-    )
+    for column, values in zip(atom_cols, (map(_ELEMENTS.__getitem__, elements), degree,
+                                          charges, hydrogens, aromatic, atom_ring)):
+        column.extend(values)
+    for column, values in zip(bond_cols, (orders, conjugated, ring, bond_a, bond_b)):
+        column.extend(values)
+    sizes.append((n, len(bonds), n_components))
 
 
 def _ring_bonds(parent, depth, bonds, closures):
@@ -496,73 +568,75 @@ def _directed_edges(ends):
     return edges
 
 
-@dataclass
-class GraphCodes:
-    """The atoms and bonds of a list of graphs, read once into int64 arrays.
+def _code_row(matrix, i):
+    return property(lambda codes: getattr(codes, matrix)[i])
 
-    Atoms and bonds follow the list, then each graph's own order; graph i
-    owns atoms ``atom_off[i]:atom_off[i+1]`` and bonds
-    ``bond_off[i]:bond_off[i+1]``.
+
+@dataclass(eq=False)
+class GraphCodes:
+    """Parsed molecules as int64 codes, a column per atom and per bond.
+
+    Atoms and bonds follow the molecules' order, then each molecule's own;
+    molecule i owns atom columns ``atom_off[i]:atom_off[i+1]`` and bond
+    columns ``bond_off[i]:bond_off[i+1]``. The rows of ``atoms`` and
+    ``bonds`` read as named fields (``codes.element``, ``codes.ends``).
+    Codes compare by identity.
     """
 
-    element: np.ndarray  # [A] index into ELEMENT_ORDER, len(ELEMENT_ORDER) for others
-    degree: np.ndarray  # [A]
-    charge: np.ndarray  # [A]
-    hydrogens: np.ndarray  # [A]
-    aromatic: np.ndarray  # [A] 0/1
-    atom_ring: np.ndarray  # [A] 0/1
-    order: np.ndarray  # [M] index into BOND_ORDERS
-    conjugated: np.ndarray  # [M] 0/1
-    bond_ring: np.ndarray  # [M] 0/1
-    ends: np.ndarray  # [2 x M] molecule-local atom indices
+    # [6 x A]: element (index into ELEMENTS), degree, charge, hydrogens,
+    # aromatic 0/1, ring 0/1
+    atoms: np.ndarray
+    # [5 x M]: order (index into BOND_ORDERS), conjugated 0/1, ring 0/1, and
+    # the molecule-local atom indices of the ends a and b
+    bonds: np.ndarray
     components: np.ndarray  # [N]
     atom_off: np.ndarray  # [N + 1]
     bond_off: np.ndarray  # [N + 1]
 
+    element, degree, charge, hydrogens, aromatic, atom_ring = (
+        _code_row("atoms", i) for i in range(6))
+    order, conjugated, bond_ring = (_code_row("bonds", i) for i in range(3))
+    ends = property(lambda codes: codes.bonds[3:])  # [2 x M]
 
-class _ElementIndex(dict):
-    def __missing__(self, element):
-        return len(ELEMENT_ORDER)  # the trailing "other" slot
-
-
-_ELEMENT_INDEX = _ElementIndex((e, i) for i, e in enumerate(ELEMENT_ORDER))
-_ORDER_INDEX = {o: i for i, o in enumerate(BOND_ORDERS)}
-_ATOM_FIELDS = operator.attrgetter("degree", "formal_charge", "explicit_h", "aromatic",
-                                   "in_ring")
-_BOND_FIELDS = operator.attrgetter("conjugated", "in_ring", "a", "b")
-_ELEMENT = operator.attrgetter("element")
-_ORDER = operator.attrgetter("order")
-
-
-def _ints(values, count):
-    return np.fromiter(values, dtype=np.int64, count=count)
+    def spans(self, rows):
+        """(atom columns, bond columns, atoms per row, bonds per row) of
+        the molecules at ``rows``: where their atoms and bonds lie, row
+        after row."""
+        n_atoms = self.atom_off[rows + 1] - self.atom_off[rows]
+        n_bonds = self.bond_off[rows + 1] - self.bond_off[rows]
+        return (_runs(self.atom_off[rows], n_atoms), _runs(self.bond_off[rows], n_bonds),
+                n_atoms, n_bonds)
 
 
-def read_codes(graphs):
-    """GraphCodes of ``graphs``, reading each atom and bond once."""
-    atoms = list(chain.from_iterable(g.atoms for g in graphs))
-    bonds = list(chain.from_iterable(g.bonds for g in graphs))
-    n_atoms, n_bonds = len(atoms), len(bonds)
-    atom_cols = _ints(chain.from_iterable(map(_ATOM_FIELDS, atoms)), 5 * n_atoms)
-    bond_cols = _ints(chain.from_iterable(map(_BOND_FIELDS, bonds)), 4 * n_bonds)
-    atom_cols, bond_cols = atom_cols.reshape(-1, 5).T, bond_cols.reshape(-1, 4).T
-    counts = _ints(chain.from_iterable((len(g.atoms), len(g.bonds), g.n_components)
-                                       for g in graphs), 3 * len(graphs)).reshape(-1, 3)
-    offsets = np.zeros((len(graphs) + 1, 2), dtype=np.int64)
-    np.cumsum(counts[:, :2], axis=0, out=offsets[1:])
-    return GraphCodes(
-        element=_ints(map(_ELEMENT_INDEX.__getitem__, map(_ELEMENT, atoms)), n_atoms),
-        degree=atom_cols[0], charge=atom_cols[1], hydrogens=atom_cols[2],
-        aromatic=atom_cols[3], atom_ring=atom_cols[4],
-        order=_ints(map(_ORDER_INDEX.__getitem__, map(_ORDER, bonds)), n_bonds),
-        conjugated=bond_cols[0], bond_ring=bond_cols[1], ends=bond_cols[2:],
-        components=counts[:, 2], atom_off=offsets[:, 0], bond_off=offsets[:, 1],
-    )
+def _runs(starts, lengths):
+    """The ranges ``start:start+length``, one after the other."""
+    first = np.cumsum(lengths) - lengths  # where each range begins in the result
+    return np.repeat(starts - first, lengths) + np.arange(lengths.sum())
+
+
+def _offsets(counts):
+    """[N + 1] offsets of N consecutive runs of ``counts`` items."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def graph_codes(graphs):
+    """The GraphCodes of a non-empty list of MolGraph views, a row per
+    graph: the rows of each run of graphs that view one GraphCodes are
+    gathered from it at once, and the runs are joined in list order."""
+    parts = []
+    for codes, run in groupby(graphs, key=attrgetter("codes")):
+        rows = np.array([g.row for g in run])
+        atom_idx, bond_idx, n_atoms, n_bonds = codes.spans(rows)
+        parts.append((codes.atoms[:, atom_idx], codes.bonds[:, bond_idx], codes.components[rows],
+                      n_atoms, n_bonds))
+    atoms, bonds, components, n_atoms, n_bonds = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    return GraphCodes(atoms=atoms, bonds=bonds, components=components,
+                      atom_off=_offsets(n_atoms), bond_off=_offsets(n_bonds))
 
 
 def fill_features(codes):
-    """(atom features [A x 33], bond features [M x 6]) of the graphs read
-    into ``codes``, one fancy-index assignment per one-hot field.
+    """(atom features [A x 33], bond features [M x 6]) of the molecules of
+    ``codes``, one fancy-index assignment per one-hot field.
 
     Atom layout: element one-hot incl. other (14), degree 0-5 (6), formal
     charge -2..+2 incl. other (6), explicit hydrogens 0-4 clamped (5),
@@ -571,7 +645,7 @@ def fill_features(codes):
     """
     rows = np.arange(len(codes.element))
     af = np.zeros((len(rows), ATOM_FEATURE_DIM))
-    af[rows, codes.element] = 1.0
+    af[rows, _FEATURE_SLOT[codes.element]] = 1.0
     af[rows, 14 + np.minimum(codes.degree, 5)] = 1.0
     charge = codes.charge
     af[rows, 20 + np.where(np.abs(charge) <= 2, charge + 2, 5)] = 1.0
@@ -588,6 +662,6 @@ def fill_features(codes):
 
 def featurize(g):
     """Populate ``g.atom_features`` [n x 33] and ``g.bond_features`` [m x 6]
-    in place with ``fill_features``; returns ``g``."""
-    g.atom_features, g.bond_features = fill_features(read_codes([g]))
+    in place with ``fill_features`` of its row's codes; returns ``g``."""
+    g.atom_features, g.bond_features = fill_features(graph_codes([g]))
     return g

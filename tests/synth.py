@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 
+from mtlmolnet import smiles
+
 HETERO = ["N", "O", "S"]
 
 
@@ -151,3 +153,14 @@ def write_qc_csv(path, smiles_list, seed=0, success_rate=0.9):
         lines.append(smi + "," + ",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def empty_graph():
+    """A MolGraph view of a molecule with no atoms and no bonds, which the
+    parser never makes."""
+    codes = smiles.GraphCodes(atoms=np.zeros((6, 0), dtype=np.int64),
+                              bonds=np.zeros((5, 0), dtype=np.int64),
+                              components=np.zeros(1, dtype=np.int64),
+                              atom_off=np.zeros(2, dtype=np.int64),
+                              bond_off=np.zeros(2, dtype=np.int64))
+    return smiles.MolGraph(codes, 0)

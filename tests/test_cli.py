@@ -597,6 +597,15 @@ class TestBench:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: --t-single must be >= 1")
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_bad_reps_exits_2(self, tmp_path, capsys, reps):
+        rc = cli.main(["bench", "--checkpoint", str(tmp_path / "model.ckpt"),
+                       "--data", str(tmp_path / "mols.txt"), "--reps", reps])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --reps must be >= 1, got {reps}"]
+
     def test_parameter_count_matches(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")
         assert cli.main(["train", *flags]) == 0
@@ -671,7 +680,11 @@ class TestAnalyze:
          ": history lacks column(s) loss"),
         ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,1.0,0.5,\n"
          "zero,task1,0.1,0.5,1.0,0.5,\n", ", line 3: "),
-    ], ids=["no_loss_column", "epoch_zero"])
+        ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,1.0,0.5,0.8\n"
+         "0,task1,0.5,0.5,nan,0.70\n", ", line 3: expected 7 fields as in the header, got 6"),
+        ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,nan,0.5,0.8\n",
+         ", line 2: non-finite beta_eff 'nan'"),
+    ], ids=["no_loss_column", "epoch_zero", "truncated_row", "nan_beta"])
     def test_malformed_history_exits_3(self, tmp_path, capsys, text, where):
         history = tmp_path / "history.csv"
         history.write_text(text)
@@ -681,6 +694,18 @@ class TestAnalyze:
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {history}{where}")
+
+
+def test_importing_cli_loads_neither_scipy_nor_numba():
+    # importing scipy.sparse alone adds about 0.25 s to every command's start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, mtlmolnet.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 class TestBetaTableRoundTrip:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import synth
 
 from mtlmolnet import smiles
 from mtlmolnet.autodiff import ShapeMismatch, Tensor
@@ -62,7 +63,7 @@ class TestEncode:
 
     def test_empty_molecule(self):
         p = params()
-        g = smiles.MolGraph(atoms=[], bonds=[])
+        g = synth.empty_graph()
         with pytest.raises(EmptyMolecule):
             encode(g, p)
 

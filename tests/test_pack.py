@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import synth
 
 from mtlmolnet import autodiff as ad
 from mtlmolnet import data as dat
@@ -117,7 +118,7 @@ class TestGather:
         with pytest.raises(EmptyMolecule, match="empty graph batch"):
             pack_graphs([])
         with pytest.raises(EmptyMolecule, match="no atoms"):
-            pack_graphs([graph("CC"), smiles.MolGraph(atoms=[], bonds=[])])
+            pack_graphs([graph("CC"), synth.empty_graph()])
 
 
 class TestEncodeGathered:
