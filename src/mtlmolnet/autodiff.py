@@ -144,7 +144,8 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            # leaves and constants have no backward; a consumed node must raise
+            if id(p) not in seen and (p._backward_fn is not None or p._consumed):
                 stack.append((p, False))
     return order
 

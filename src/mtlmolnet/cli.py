@@ -9,7 +9,6 @@ diagnostics go to stderr. Exit codes: 2 config error, 3 data error,
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -28,7 +27,7 @@ from . import encoder as enc
 from . import features as feat
 from . import metrics as met
 from . import model as mdl
-from . import smiles
+from . import smiles, tables
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import VARIANTS, TrainConfig
 from .model import CheckpointMismatch, NonFiniteLoss
@@ -54,18 +53,11 @@ def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 @contextlib.contextmanager
 def _output(path):
     """A CSV writer on the file ``path``, or on stdout when no path is given."""
-    if not path:
-        yield _csv_writer(sys.stdout)
-        return
-    with open(path, "w", newline="") as fh:
-        yield _csv_writer(fh)
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        yield tables.writer(fh)
 
 
 def _out_dir(path):
@@ -118,6 +110,8 @@ _CONFIG_KEYS = {**{key: TrainConfig.__dataclass_fields__[key].type for key in _T
 def build_parser():
     """The argument parser, built once per process: ``parse_args`` leaves
     it unchanged and returns a new namespace each call."""
+    molecules = ("UTF-8 file of SMILES, one per line under an optional 'smiles' header, "
+                 "or a CSV (a dataset too) whose first column is smiles")
     parser = argparse.ArgumentParser(
         prog="mtlmolnet",
         description="multi-task molecular property prediction engine",
@@ -143,8 +137,7 @@ def build_parser():
 
     p_predict = sub.add_parser("predict", help="predict probabilities for SMILES")
     p_predict.add_argument("--checkpoint", required=True)
-    p_predict.add_argument("--data", required=True,
-                           help="SMILES file (one per line) or dataset CSV")
+    p_predict.add_argument("--data", required=True, help=molecules)
     p_predict.add_argument("--phys", help="external 200-dim descriptor CSV")
     p_predict.add_argument("--qc", help="quantum descriptor CSV")
     p_predict.add_argument("--out", default=None, help="output CSV (default stdout)")
@@ -163,10 +156,11 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="shared-encoder vs per-task timing")
     p_bench.add_argument("--checkpoint", required=True)
-    p_bench.add_argument("--data", required=True, help="SMILES file, one per line")
+    p_bench.add_argument("--data", required=True, help=molecules)
     p_bench.add_argument("--t-single", type=int, default=13,
                          help="simulated single-task model count")
-    p_bench.add_argument("--reps", type=int, default=3)
+    p_bench.add_argument("--reps", type=int, default=3,
+                         help="timed reps; each is scaled to about 50 ms of multi-task passes")
     p_bench.add_argument("--qc", help="quantum descriptor CSV")
     p_bench.add_argument("--phys", help="external 200-dim descriptor CSV")
 
@@ -241,8 +235,7 @@ _HISTORY_COLUMNS = ("epoch", "task", "loss", "r", "beta_eff", "w", "val_metric")
 
 
 def write_history(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
+    with _output(path) as writer:
         writer.writerow(_HISTORY_COLUMNS)
         for row in rows:
             val = row["val_metric"]
@@ -256,33 +249,23 @@ def write_history(path, rows):
 def read_history(path):
     """The rows of a history CSV. A row of another width than the header,
     a bad number or a non-finite one is refused by file and line."""
-    if not Path(path).exists():
-        raise HistoryMissing(f"history file {path!r} not found")
+    header, lines = tables.read_csv(path)
+    missing = [c for c in _HISTORY_COLUMNS if c not in header]
+    if missing:
+        raise dat.DatasetError(f"{path}: history lacks column(s) {', '.join(missing)}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, _HISTORY_COLUMNS)  # an empty file is refused below
-        missing = [c for c in _HISTORY_COLUMNS if c not in header]
-        if missing:
-            raise dat.DatasetError(f"{path}: history lacks column(s) {', '.join(missing)}")
-        for fields in reader:
-            if not fields:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(fields) != len(header):
-                raise dat.DatasetError(f"{where}: expected {len(header)} fields as in the "
-                                       f"header, got {len(fields)}")
-            cells = dict(zip(header, fields))
-            try:
-                row = {"epoch": int(cells["epoch"]), "task": cells["task"],
-                       **{c: float(cells[c]) for c in _HISTORY_COLUMNS[2:6]},
-                       "val_metric": float(cells["val_metric"]) if cells["val_metric"] else None}
-            except ValueError as err:
-                raise dat.DatasetError(f"{where}: {err}") from None
-            for c in _HISTORY_COLUMNS[2:]:
-                if row[c] is not None and not math.isfinite(row[c]):
-                    raise dat.DatasetError(f"{where}: non-finite {c} {cells[c]!r}")
-            rows.append(row)
+    for lineno, fields in lines:
+        cells = dict(zip(header, fields))
+        try:
+            row = {"epoch": int(cells["epoch"]), "task": cells["task"],
+                   **{c: float(cells[c]) for c in _HISTORY_COLUMNS[2:6]},
+                   "val_metric": float(cells["val_metric"]) if cells["val_metric"] else None}
+        except ValueError as err:
+            raise dat.DatasetError(f"{path}:{lineno}: {err}") from None
+        for c in _HISTORY_COLUMNS[2:]:
+            if row[c] is not None and not math.isfinite(row[c]):
+                raise dat.DatasetError(f"{path}:{lineno}: non-finite {c} {cells[c]!r}")
+        rows.append(row)
     if not rows:
         raise HistoryMissing(f"history file {path!r} is empty")
     return rows
@@ -365,8 +348,7 @@ def cmd_ablate(args):
 
     out_path = out_dir / "ablation.csv"
     task_names = [s.name for s in specs]
-    with open(out_path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
+    with _output(out_path) as writer:
         writer.writerow(["task", *VARIANTS])
         for name in task_names:
             row = [name]
@@ -380,17 +362,18 @@ def cmd_ablate(args):
 
 
 def _read_molecule_file(path):
-    """One SMILES per line, or a CSV whose first column/header is smiles."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise dat.EmptyDataset(f"{path}: no molecules")
-    if "," in lines[0]:
-        header = lines[0].split(",")
+    """The SMILES of a request file, read by ``tables.read_csv``: one per line,
+    optionally under a ``smiles`` header, or the first field of a CSV whose
+    header names ``smiles`` first and whose rows all have its width."""
+    header, rows = tables.read_csv(path)
+    if len(header) > 1:
         if header[0] != "smiles":
-            raise dat.DatasetError(f"{path}: first CSV column must be smiles")
-        return [line.split(",", 1)[0] for line in lines[1:] if line]
-    start = 1 if lines[0].strip() == "smiles" else 0
-    return [line.strip() for line in lines[start:] if line.strip()]
+            raise dat.DatasetError(f"{path}:1: first CSV column must be smiles")
+        return [fields[0] for _, fields in rows]
+    mols = [fields[0].strip() for _, fields in rows]
+    if header[0].strip() != "smiles":
+        mols.insert(0, header[0].strip())
+    return [smi for smi in mols if smi]
 
 
 def _load_serving(args):
@@ -494,7 +477,6 @@ def cmd_bench(args):
     mols, pack, features = _prepare_request(args, cfg, stats)
     rows = np.arange(len(mols))
     t_single = args.t_single
-    reps = max(args.reps, 3)
     # simulate t_single independent models: one encoder pass per head
     n_heads = len(params.heads)
     single_models = [dataclasses.replace(params, heads=params.heads[t % n_heads:t % n_heads + 1])
@@ -512,7 +494,7 @@ def cmd_bench(args):
     # in one speed state; fast passes get more reps (about 50 ms of multi-task
     # passes per requested rep), so a burst of noise spoils a few ratios, not
     # their median
-    reps *= max(1, math.ceil(0.05 / max(warm, 1e-9)))
+    reps = args.reps * max(1, math.ceil(0.05 / max(warm, 1e-9)))
     times = _timed([multi_task_pass, single_task_passes], reps)
     multi, single = times[:, 0], times[:, 1]
     speedup = float(np.median(single / multi))
@@ -537,19 +519,17 @@ def cmd_bench(args):
 
 def write_beta_table(path, rows):
     """Rows of (task, data_scale, beta_eff) -> CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
+    with _output(path) as writer:
         writer.writerow(["task", "data_scale", "beta_eff"])
         for task, scale, beta in rows:
             writer.writerow([task, int(scale), repr(float(beta))])
 
 
 def read_beta_table(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((row["task"], int(row["data_scale"]), float(row["beta_eff"])))
-    return rows
+    """The (task, data_scale, beta_eff) rows of a ``write_beta_table`` CSV."""
+    header, rows = tables.read_csv(path)
+    task, scale, beta = (header.index(c) for c in ("task", "data_scale", "beta_eff"))
+    return [(f[task], int(f[scale]), float(f[beta])) for _, f in rows]
 
 
 def cmd_analyze(args):
@@ -595,14 +575,12 @@ def cmd_analyze(args):
 
     if args.checkpoint:
         fps = mdl.embed_rows(pack, np.arange(len(mols)), params.encoder)
-        with open(out_dir / "embeddings.csv", "w", newline="") as fh:
-            writer = _csv_writer(fh)
+        with _output(out_dir / "embeddings.csv") as writer:
             writer.writerow(["smiles"] + [f"e{i}" for i in range(fps.shape[1])])
             for smi, row in zip(mols, fps):
                 writer.writerow([smi] + [repr(float(v)) for v in row])
         res = met.pca(fps, k=2)
-        with open(out_dir / "pca.csv", "w", newline="") as fh:
-            writer = _csv_writer(fh)
+        with _output(out_dir / "pca.csv") as writer:
             writer.writerow(["row_id", "pc1", "pc2"])
             for i, row in enumerate(res.projected):
                 writer.writerow([i, repr(float(row[0])), repr(float(row[1]))])
@@ -622,13 +600,11 @@ _COMMANDS = {
 
 _DATA_ERRORS = (
     dat.DatasetError,
-    feat.FeatureFileError,
     smiles.SmilesError,
     HistoryMissing,
     NoTestData,
     CheckpointMismatch,
     OSError,  # a missing or unreadable file, a directory
-    UnicodeDecodeError,
 )
 
 _NUMERIC_ERRORS = (NonFiniteLoss, ad.NonFiniteValue)

@@ -12,20 +12,16 @@ match, so a row that is train for task A and test for task B contributes
 only its A label to training.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import encoder as enc
 from . import features as feat
-from . import smiles
+from . import smiles, tables
+from .tables import DatasetError, EmptyDataset
 
 SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
-
-
-class DatasetError(ValueError):
-    pass
 
 
 class BadLabelValue(DatasetError):
@@ -37,10 +33,6 @@ class BadSplitTag(DatasetError):
 
 
 class MissingColumn(DatasetError):
-    pass
-
-
-class EmptyDataset(DatasetError):
     pass
 
 
@@ -107,7 +99,7 @@ class Batch:
         return len(self.graphs)
 
 
-def _parse_label(cell, lineno, column):
+def _parse_label(cell, where, column):
     cell = cell.strip()
     if cell == "":
         return -1
@@ -116,73 +108,51 @@ def _parse_label(cell, lineno, column):
     try:
         v = float(cell)
     except ValueError:
-        raise BadLabelValue(f"row {lineno}, column {column}: bad label {cell!r}") from None
+        raise BadLabelValue(f"{where}: column {column}: bad label {cell!r}") from None
     if v in (0.0, 1.0):
         return int(v)
-    raise BadLabelValue(f"row {lineno}, column {column}: label must be 0 or 1, got {cell!r}")
+    raise BadLabelValue(f"{where}: column {column}: label must be 0 or 1, got {cell!r}")
 
 
 def load_dataset(path, specs):
     """Load the merged multi-task CSV into a TaskTable; a header naming a
     read column twice, or a row of another width, is refused by line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: no header row")
-        required = {"smiles", "fold"}
-        for spec in specs:
-            required.add(spec.label_column)
-            required.add(spec.split_column)
-        missing = required - set(header)
-        if missing:
-            raise MissingColumn(f"{path}: missing column(s) {sorted(missing)}")
-        twice = sorted(c for c in required if header.count(c) > 1)
-        if twice:
-            raise DatasetError(f"{path}:{reader.line_num}: column(s) {twice} named twice "
-                               "in the header")
+    header, rows = tables.read_csv(path)
+    required = {"smiles", "fold", *(c for s in specs for c in (s.label_column, s.split_column))}
+    missing = required - set(header)
+    if missing:
+        raise MissingColumn(f"{path}: missing column(s) {sorted(missing)}")
+    twice = sorted(c for c in required if header.count(c) > 1)
+    if twice:
+        raise DatasetError(f"{path}:1: column(s) {twice} named twice in the header")
 
-        smiles_col = []
-        labels_rows = []
-        splits_rows = []
-        folds = []
-        for fields in reader:
-            if not fields:
-                continue
-            lineno = reader.line_num
-            if len(fields) != len(header):
-                raise DatasetError(f"{path}:{lineno}: expected {len(header)} fields as in "
-                                   f"the header, got {len(fields)}")
-            row = dict(zip(header, fields))
-            labels = np.full(len(specs), -1, dtype=np.int64)
-            splits = np.full(len(specs), -1, dtype=np.int64)
-            for t, spec in enumerate(specs):
-                label = _parse_label(row[spec.label_column], lineno, spec.label_column)
-                tag = row[spec.split_column].strip()
-                if tag and tag not in SPLIT_CODES:
-                    raise BadSplitTag(
-                        f"row {lineno}, column {spec.split_column}: bad split tag {tag!r}"
-                    )
-                if label >= 0 and not tag:
-                    raise BadSplitTag(
-                        f"row {lineno}: task {spec.name} has a label but no split tag"
-                    )
-                if label < 0 and tag:
-                    raise BadSplitTag(
-                        f"row {lineno}: task {spec.name} has split tag {tag!r} but no label"
-                    )
-                labels[t] = label
-                if tag:
-                    splits[t] = SPLIT_CODES[tag]
-            if (labels < 0).all():
-                raise BadLabelValue(f"row {lineno}: every task label is missing")
-            try:
-                folds.append(int(row["fold"].strip() or 0))
-            except ValueError:
-                raise BadLabelValue(f"row {lineno}: bad fold value {row['fold']!r}") from None
-            smiles_col.append(row["smiles"])
-            labels_rows.append(labels)
-            splits_rows.append(splits)
+    smiles_col, labels_rows, splits_rows, folds = [], [], [], []
+    for lineno, fields in rows:
+        where = f"{path}:{lineno}"
+        row = dict(zip(header, fields))
+        labels = np.full(len(specs), -1, dtype=np.int64)
+        splits = np.full(len(specs), -1, dtype=np.int64)
+        for t, spec in enumerate(specs):
+            label = _parse_label(row[spec.label_column], where, spec.label_column)
+            tag = row[spec.split_column].strip()
+            if tag and tag not in SPLIT_CODES:
+                raise BadSplitTag(f"{where}: column {spec.split_column}: bad split tag {tag!r}")
+            if label >= 0 and not tag:
+                raise BadSplitTag(f"{where}: task {spec.name} has a label but no split tag")
+            if label < 0 and tag:
+                raise BadSplitTag(f"{where}: task {spec.name} has split tag {tag!r} but no label")
+            labels[t] = label
+            if tag:
+                splits[t] = SPLIT_CODES[tag]
+        if (labels < 0).all():
+            raise BadLabelValue(f"{where}: every task label is missing")
+        try:
+            folds.append(int(row["fold"].strip() or 0))
+        except ValueError:
+            raise BadLabelValue(f"{where}: bad fold value {row['fold']!r}") from None
+        smiles_col.append(row["smiles"])
+        labels_rows.append(labels)
+        splits_rows.append(splits)
 
     if not smiles_col:
         raise EmptyDataset(f"{path}: no data rows")
@@ -299,11 +269,10 @@ def load_task_specs(path):
     """Task spec file: JSON list of {name, metric, label_column, split_column}."""
     import json
 
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as err:
-            raise DatasetError(f"{path}: task spec file is not valid JSON ({err})") from None
+    try:
+        raw = json.loads(tables.read_text(path))
+    except json.JSONDecodeError as err:
+        raise DatasetError(f"{path}: task spec file is not valid JSON ({err})") from None
     if not isinstance(raw, list) or not raw:
         raise DatasetError(f"{path}: expected a non-empty JSON list of task specs")
     specs = []

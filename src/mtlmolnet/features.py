@@ -13,14 +13,14 @@ Standardization is a per-dimension z-score with training-split statistics
 and stay exactly zero. The mask channels are never standardized.
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import smiles
+from . import smiles, tables
+from .tables import DatasetError, MalformedRow
 
 PHYS_DIM = 200
 QC_DIM = 4
@@ -58,11 +58,7 @@ _IS_HALOGEN = np.array([e in ("F", "Cl", "Br", "I") for e in smiles.ELEMENTS])
 _HYDROGEN, _CARBON, _NITROGEN, _OXYGEN = (smiles.ELEMENTS.index(e) for e in "HCNO")
 
 
-class FeatureFileError(ValueError):
-    pass
-
-
-class MalformedRow(FeatureFileError):
+class FeatureFileError(DatasetError):
     pass
 
 
@@ -195,16 +191,6 @@ def compute_phys_descriptors(g):
     return builtin_phys_block(g)[:len(BUILTIN_DESCRIPTOR_NAMES)]
 
 
-def _read_csv_rows(path):
-    """(header, [(line number, row)]) of a CSV file's non-blank rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise MalformedRow(f"{path}: empty file")
-    return rows[0][1], rows[1:]
-
-
 def load_qc_descriptors(path, molecules):
     """Load quantum descriptors for the given SMILES list.
 
@@ -212,15 +198,13 @@ def load_qc_descriptors(path, molecules):
     and empty cells, get mask 0 and value 0; no molecule is ever dropped.
     A cell that is not a finite number is a MalformedRow.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows = tables.read_csv(path)
     expected = ["smiles", *QC_COLUMNS]
     if header != expected:
         raise MalformedRow(f"{path}: header must be {','.join(expected)}")
 
     table = {}
     for lineno, row in rows:
-        if len(row) != 5:
-            raise MalformedRow(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
         smi = row[0]
         vals = np.zeros(QC_DIM)
         mask = np.zeros(QC_DIM)
@@ -257,7 +241,7 @@ def load_external_phys(path, molecules):
     molecule must be present: absence is a hard MissingMolecule error, and
     a cell that is not a finite number is a MalformedRow.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows = tables.read_csv(path)
     if len(header) != PHYS_DIM + 1 or header[0] != "smiles":
         raise WrongColumnCount(
             f"{path}: expected header smiles,d0..d{PHYS_DIM - 1} "
@@ -265,8 +249,6 @@ def load_external_phys(path, molecules):
         )
     table = {}
     for lineno, row in rows:
-        if len(row) != PHYS_DIM + 1:
-            raise WrongColumnCount(f"{path}:{lineno}: expected {PHYS_DIM + 1} fields")
         smi = row[0]
         try:
             vals = np.array([float(c) for c in row[1:]])
@@ -292,7 +274,7 @@ def load_external_phys(path, molecules):
 def write_external_phys(path, molecules, matrix):
     """Inverse of load_external_phys; values round-trip via repr."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = tables.writer(fh)
         writer.writerow(["smiles"] + [f"d{i}" for i in range(PHYS_DIM)])
         for smi, row in zip(molecules, matrix):
             writer.writerow([smi] + [repr(float(v)) for v in row])

@@ -11,10 +11,11 @@ population covariance; each component's sign is fixed so its
 largest-magnitude entry is positive.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tables
 
 
 class MetricError(ValueError):
@@ -140,7 +141,7 @@ class MetricsReport:
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = tables.writer(fh)
             writer.writerow(["task", "metric", "mean", "std"])
             for task, metric, mean, std in self.rows:
                 writer.writerow([task, metric, repr(mean), repr(std)])

@@ -185,6 +185,13 @@ class TestBackward:
             (y * 3.0).backward()
         assert x.grad == 12.0 and y.grad is None
 
+    def test_backward_order_holds_only_nodes_with_a_backward(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        y = (ad.matmul(x, w) * 2.0).sum()
+        order = ad._toposort(y)
+        assert len(order) == 3 and all(n._backward_fn is not None for n in order)
+
     def test_shared_leaf_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
         y = x * x + x * 3.0

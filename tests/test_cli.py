@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -606,6 +607,23 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: --reps must be >= 1, got {reps}"]
 
+    def test_reps_are_not_floored(self, tmp_path, monkeypatch, capsys):
+        flags = small_flags(tmp_path, epochs="1")
+        assert cli.main(["train", *flags]) == 0
+        mols = tmp_path / "bench_mols.txt"
+        mols.write_text("CCO\nCCN\n")
+        asked = []
+
+        def timed(fns, reps):  # every pass takes a second: no scaling to 50 ms
+            asked.append(reps)
+            return np.ones((reps, len(fns)))
+
+        monkeypatch.setattr(cli, "_timed", timed)
+        rc = cli.main(["bench", "--checkpoint", str(tmp_path / "runs" / "model_seed0.ckpt"),
+                       "--data", str(mols), "--t-single", "2", "--reps", "1"])
+        assert rc == 0
+        assert asked == [1, 1] and "reps,1" in capsys.readouterr().out.splitlines()
+
     def test_parameter_count_matches(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")
         assert cli.main(["train", *flags]) == 0
@@ -679,11 +697,11 @@ class TestAnalyze:
         ("epoch,task,r,beta_eff,w,val_metric\n0,task0,0.5,1.0,0.5,\n",
          ": history lacks column(s) loss"),
         ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,1.0,0.5,\n"
-         "zero,task1,0.1,0.5,1.0,0.5,\n", ", line 3: "),
+         "zero,task1,0.1,0.5,1.0,0.5,\n", ":3: "),
         ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,1.0,0.5,0.8\n"
-         "0,task1,0.5,0.5,nan,0.70\n", ", line 3: expected 7 fields as in the header, got 6"),
+         "0,task1,0.5,0.5,nan,0.70\n", ":3: expected 7 fields as in the header, got 6"),
         ("epoch,task,loss,r,beta_eff,w,val_metric\n0,task0,0.1,0.5,nan,0.5,0.8\n",
-         ", line 2: non-finite beta_eff 'nan'"),
+         ":2: non-finite beta_eff 'nan'"),
     ], ids=["no_loss_column", "epoch_zero", "truncated_row", "nan_beta"])
     def test_malformed_history_exits_3(self, tmp_path, capsys, text, where):
         history = tmp_path / "history.csv"
@@ -706,6 +724,19 @@ def test_importing_cli_loads_neither_scipy_nor_numba():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_only_the_tables_module_reads_or_writes_csv():
+    # one reader and one writer dialect: a second csv.reader cannot creep back
+    package = Path(cli.__file__).resolve().parent
+    importers = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(module.name)
+    assert importers == ["tables.py"]
 
 
 class TestBetaTableRoundTrip:

@@ -58,7 +58,7 @@ class TestLoad:
 
     def test_error_after_blank_line_names_its_line(self, tmp_path):
         p = write_csv(tmp_path, ["CCO,1,train,,,1", "", "CCN,2,train,,,1"])
-        with pytest.raises(BadLabelValue, match="row 4,"):
+        with pytest.raises(BadLabelValue, match=r"data\.csv:4: "):
             load_dataset(p, SPECS)
 
     @pytest.mark.parametrize("header, rows, message", [

@@ -130,7 +130,8 @@ class TestQcLoading:
                      "CCO,1.0,2.0,3.0,4.0\n"
                      "\n"
                      "CCN,1.0,2.0\n")
-        with pytest.raises(feat.MalformedRow, match=":4: expected 5 fields, got 3"):
+        with pytest.raises(feat.MalformedRow,
+                           match=":4: expected 5 fields as in the header, got 3"):
             feat.load_qc_descriptors(p, ["CCO"])
 
     def test_duplicate_warns_first_wins(self, tmp_path):
