@@ -362,18 +362,17 @@ def cmd_ablate(args):
 
 
 def _read_molecule_file(path):
-    """The SMILES of a request file, read by ``tables.read_csv``: one per line,
-    optionally under a ``smiles`` header, or the first field of a CSV whose
-    header names ``smiles`` first and whose rows all have its width."""
+    """The SMILES of a request file and each one's ``path:line``: one per
+    line, optionally under a ``smiles`` header, or the first field of a CSV
+    whose header names ``smiles`` first and whose rows all have its width."""
     header, rows = tables.read_csv(path)
-    if len(header) > 1:
-        if header[0] != "smiles":
-            raise dat.DatasetError(f"{path}:1: first CSV column must be smiles")
-        return [fields[0] for _, fields in rows]
-    mols = [fields[0].strip() for _, fields in rows]
-    if header[0].strip() != "smiles":
-        mols.insert(0, header[0].strip())
-    return [smi for smi in mols if smi]
+    if len(header) > 1 and header[0] != "smiles":
+        raise dat.DatasetError(f"{path}:1: first CSV column must be smiles")
+    found = [(lineno, fields[0]) for lineno, fields in rows]
+    if len(header) == 1:
+        first = [] if header[0].strip() == "smiles" else [(1, header[0])]
+        found = [(lineno, smi.strip()) for lineno, smi in first + found if smi.strip()]
+    return [smi for _, smi in found], [f"{path}:{lineno}" for lineno, _ in found]
 
 
 def _load_serving(args):
@@ -393,8 +392,8 @@ def _load_serving(args):
 def _prepare_request(args, cfg, stats):
     """The molecules of ``args.data`` as (smiles, pack, standardized
     descriptor matrix)."""
-    mols = _read_molecule_file(args.data)
-    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc)
+    mols, where = _read_molecule_file(args.data)
+    pack, blocks = dat.prepare_molecules(mols, args.phys, args.qc, where)
     return mols, pack, feat.feature_matrix(blocks, use_qc=cfg.use_qc, stats=stats)
 
 
@@ -545,7 +544,7 @@ def cmd_analyze(args):
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
                                    "the PCA needs at least two")
         mols = [table.smiles[r] for r in view.rows]
-        pack = enc.pack_codes(smiles.parse_codes(mols))
+        pack = enc.pack_codes(smiles.parse_codes(mols, [table.where[r] for r in view.rows]))
     out_dir = _out_dir(args.out)
 
     last_epoch = max(row["epoch"] for row in history)

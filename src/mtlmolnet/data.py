@@ -64,6 +64,7 @@ class TaskTable:
     specs: list
     blocks: feat.FeatureBlock = field(default=None)  # raw (unstandardized)
     pack: enc.GraphPack = field(default=None)  # the parsed molecules, packed once
+    where: list = field(default=None)  # each row's "path:line", named in refusals
     phys_source: str = "builtin"  # set by prepare_table, see features.PHYS_SOURCES
 
     @property
@@ -126,7 +127,7 @@ def load_dataset(path, specs):
     if twice:
         raise DatasetError(f"{path}:1: column(s) {twice} named twice in the header")
 
-    smiles_col, labels_rows, splits_rows, folds = [], [], [], []
+    smiles_col, labels_rows, splits_rows, folds, wheres = [], [], [], [], []
     for lineno, fields in rows:
         where = f"{path}:{lineno}"
         row = dict(zip(header, fields))
@@ -153,6 +154,7 @@ def load_dataset(path, specs):
         smiles_col.append(row["smiles"])
         labels_rows.append(labels)
         splits_rows.append(splits)
+        wheres.append(where)
 
     if not smiles_col:
         raise EmptyDataset(f"{path}: no data rows")
@@ -162,10 +164,11 @@ def load_dataset(path, specs):
         splits=np.stack(splits_rows),
         fold=np.array(folds, dtype=np.int64),
         specs=list(specs),
+        where=wheres,
     )
 
 
-def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
+def prepare_molecules(smiles_list, phys_path=None, qc_path=None, where=None):
     """Parse SMILES, pack them, and build their raw descriptor record.
 
     The one preparation path of training, evaluation, prediction and bench;
@@ -178,11 +181,11 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     ``qc_path`` or stay fully masked. Returns ``(pack, record)``: the
     GraphPack of the molecules (``pack.graphs`` views its rows) and the
     unstandardized FeatureBlock of their descriptors, a row per molecule.
-    A refusal names the molecule's 1-based position and its SMILES.
+    A refusal names the SMILES and ``where[i]``, else its 1-based position.
     """
     if not smiles_list:
         raise EmptyDataset("no molecules to prepare")
-    pack = enc.pack_codes(smiles.parse_codes(smiles_list))
+    pack = enc.pack_codes(smiles.parse_codes(smiles_list, where))
     if phys_path is not None:
         phys = feat.load_external_phys(phys_path, smiles_list)
     else:
@@ -190,8 +193,7 @@ def prepare_molecules(smiles_list, phys_path=None, qc_path=None):
     if qc_path is not None:
         qc, qc_mask = feat.load_qc_descriptors(qc_path, smiles_list)
     else:
-        qc = np.zeros((len(smiles_list), feat.QC_DIM))
-        qc_mask = np.zeros((len(smiles_list), feat.QC_DIM))
+        qc, qc_mask = np.zeros((2, len(smiles_list), feat.QC_DIM))
     return pack, feat.FeatureBlock(phys=phys, qc=qc, qc_mask=qc_mask)
 
 
@@ -199,7 +201,7 @@ def prepare_table(table, phys_path=None, qc_path=None):
     """Prepare every row's SMILES with ``prepare_molecules`` and attach the
     pack (``table.pack``, whose ``graphs`` view its rows), the raw
     descriptor record and the phys source."""
-    table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path)
+    table.pack, table.blocks = prepare_molecules(table.smiles, phys_path, qc_path, table.where)
     table.phys_source = feat.phys_source(phys_path)
     return table
 

@@ -285,18 +285,19 @@ def _codes(atom_cols, bond_cols, sizes):
                       bond_off=_offsets(sizes[:, 1]))
 
 
-def parse_codes(smiles_list):
+def parse_codes(smiles_list, where=None):
     """The GraphCodes of a list of SMILES, one row per molecule.
 
-    A refusal keeps its type and offset, and its message names the
-    molecule's 1-based position and its SMILES.
+    A refusal keeps its type and offset, and its message names the SMILES
+    and ``where[i]`` (a file row's ``path:line``), else its 1-based position.
     """
     columns = _columns()
-    for i, s in enumerate(smiles_list, 1):
+    for i, s in enumerate(smiles_list):
         try:
             _parse(s, *columns)
         except SmilesError as err:
-            err.args = (f"molecule {i} ({s!r}): {err}",)
+            name = f"molecule {i + 1} ({s!r})" if where is None else f"{where[i]}: {s!r}"
+            err.args = (f"{name}: {err}",)
             raise
     return _codes(*columns)
 

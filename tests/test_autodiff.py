@@ -486,7 +486,7 @@ class TestAdam:
     @pytest.mark.parametrize("block_bytes", [64, 1 << 18])
     def test_flat_matches_per_tensor_bits(self, monkeypatch, block_bytes):
         # blocks of 8 values split every tensor; the default block splits "big"
-        monkeypatch.setattr(ad._kernels, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(11)
         shapes = {"w": (5, 3), "big": (200, 180), "b": (7,), "gap": (4, 2),
                   "zero": (3,), "negzero": (6,), "never": (2, 2), "one": (1,)}

@@ -292,18 +292,65 @@ class TestPredictEval:
             for cell in row[1:]:
                 assert 0.0 < float(cell) < 1.0
 
-    def test_bad_smiles_named_by_position(self, trained, tmp_path, capsys):
+    def test_bad_smiles_named_by_file_and_line(self, trained, tmp_path, capsys):
+        # the third molecule stands on line 5, under a header and a blank line
         run_dir, _ = trained
         mols = tmp_path / "mols.txt"
-        mols.write_text("CCO\nCCN\nC1CC\nc1ccccc1\n")
+        mols.write_text("smiles\nCCO\n\nCCN\nC1CC\nc1ccccc1\n")
         out = tmp_path / "preds.csv"
         capsys.readouterr()
         rc = cli.main(["predict", "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
                        "--data", str(mols), "--out", str(out)])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err.strip().splitlines() == [
-            "error: molecule 3 ('C1CC'): ring closure 1 never closed (offset 1)"]
+            f"error: {mols}:5: 'C1CC': ring closure 1 never closed (offset 1)"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("CCO\nQ\n", 2),  # no header: the first line is a molecule
+        ("smiles,id\nCCO,a\n\nQ,b\n", 4),  # a CSV request, its smiles column first
+    ], ids=["headerless_list", "csv"])
+    def test_bad_request_line_named(self, trained, tmp_path, capsys, text, line):
+        run_dir, _ = trained
+        mols = tmp_path / "mols.csv"
+        mols.write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
+                       "--data", str(mols)])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: {mols}:{line}: 'Q': unrecognized token 'Q' (offset 0)"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+    def test_bad_dataset_smiles_named_by_file_and_line(self, trained, tmp_path, capsys,
+                                                       command):
+        # a validation row's SMILES goes bad, and a blank line under the
+        # header moves it one line further from its position in the table
+        run_dir, flags = trained
+        data = Path(flags[flags.index("--data") + 1])
+        header, *rows = data.read_text().splitlines()
+        i = next(i for i, row in enumerate(rows) if ",val" in row)
+        rows[i] = "QCCN," + rows[i].split(",", 1)[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, ""] + rows) + "\n")
+        ckpt = run_dir / "runs" / "model_seed0.ckpt"
+        tasks = flags[flags.index("--tasks") + 1]
+        qc = flags[flags.index("--qc") + 1]
+        argv = {
+            "train": ["train", *flags, "--data", str(bad), "--out", str(tmp_path / "again")],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(bad), "--qc", qc],
+            "analyze": ["analyze", "--history", str(ckpt.parent / "history_seed0.csv"),
+                        "--data", str(bad), "--tasks", tasks, "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "analysis")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: {bad}:{i + 3}: 'QCCN': unrecognized token 'Q' (offset 0)"]
 
     @pytest.mark.parametrize("command", ["predict", "bench"])
     def test_header_only_file_exits_3(self, trained, tmp_path, capsys, command):

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mtlmolnet import _kernels, encoder
 from mtlmolnet import autodiff as ad
@@ -99,3 +102,112 @@ class TestScatterAdd:
         none = _kernels.scatter_add_rows(np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
                                          np.zeros((0, 4)))
         assert none.shape == (0, 4)
+
+
+class TestContract:
+    """The kernel against ``np.add.at`` on a copy of the same ``out``, bit
+    for bit, over widths, index shapes, special values and memory layouts.
+
+    One freedom is left: where two NaNs meet, which payload survives. For
+    ``x + y`` numpy keeps x's, while ``np.add.at`` on rows keeps y's (the
+    rank-pass kernel, adding through ``np.add``, kept x's at widths above 1).
+    So where both results are NaN, any NaN passes; every other bit, the sign
+    of zero and of a lone NaN included, must match.
+    """
+
+    SPECIAL = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2e-308, 1e308,
+         -1e308, 1.0],
+        np.array([0xFFF8000000000123, 0x7FF8000000000001], dtype=np.uint64).view(np.float64),
+    ])
+
+    @classmethod
+    def values(cls, rng, shape):
+        """Normal values over 17 decades, a third of them special."""
+        normal = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        return np.where(rng.random(shape) < 0.33, rng.choice(cls.SPECIAL, size=shape), normal)
+
+    @staticmethod
+    def laid_out(a, layout):
+        """A copy of ``a`` in the given memory layout, same values."""
+        m, w = a.shape
+        if layout == "column_slice":
+            wide = np.zeros((m, w + 3))
+            wide[:, 1:w + 1] = a
+            return wide[:, 1:w + 1]
+        if layout == "transpose":
+            return np.ascontiguousarray(a.T).T
+        if layout == "offset":  # 8 bytes past the start of its buffer
+            buf = np.zeros(a.size + 1)
+            buf[1:] = a.reshape(-1)
+            return buf[1:].reshape(m, w)
+        return a.copy()
+
+    @seed(23)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(width=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 300]),
+           n_out=st.integers(1, 12), m=st.integers(0, 40),
+           kind=st.sampled_from(["empty", "sorted", "skewed", "random"]),
+           nonzero_base=st.booleans(),
+           src_layout=st.sampled_from(["contiguous", "column_slice", "transpose", "offset"]),
+           out_layout=st.sampled_from(["contiguous", "column_slice", "transpose"]),
+           case_seed=st.integers(0, 2**32 - 1))
+    def test_matches_add_at_bitwise(self, width, n_out, m, kind, nonzero_base, src_layout,
+                                    out_layout, case_seed):
+        rng = np.random.default_rng(case_seed)
+        m = 0 if kind == "empty" else m
+        index = rng.integers(0, n_out, size=m)
+        if kind == "sorted":  # molecule pooling: runs of one destination
+            index.sort()
+        elif kind == "skewed":  # one row receives most sources
+            index[rng.random(m) < 0.8] = n_out - 1
+        # rows n_out.. receive no source
+        rows = (n_out + 2, width)
+        base = self.values(rng, rows) if nonzero_base else np.zeros(rows)
+        src = self.laid_out(self.values(rng, (m, width)), src_layout)
+        out = self.laid_out(base, out_layout)
+        ref = base.copy()
+        with np.errstate(all="ignore"):
+            np.add.at(ref, index, src)
+            result = _kernels.scatter_add_rows(src, index, out)
+        assert result is out
+        both_nan = np.isnan(out) & np.isnan(ref)
+        assert_bitwise_equal(np.where(both_nan, np.nan, out), np.where(both_nan, np.nan, ref))
+
+
+class TestGuards:
+    @pytest.mark.parametrize("make_out", [
+        lambda: np.zeros((5, 8))[:, :4],  # views as pairs, but reshape(-1) copies
+        lambda: np.zeros((5, 7))[:, 1:6],
+        lambda: np.zeros((4, 5)).T,
+        lambda: np.zeros((10, 4))[::2],
+    ], ids=["column_slice_even", "column_slice_odd", "transpose", "row_stride"])
+    def test_non_contiguous_out_receives_every_add(self, make_out):
+        out = make_out()
+        src = np.arange(1.0, 1.0 + 6 * out.shape[1]).reshape(6, out.shape[1])
+        index = np.array([0, 2, 0, 1, 2, 2])
+        ref = np.zeros(out.shape)
+        np.add.at(ref, index, src)
+        assert _kernels.scatter_add_rows(src, index, out) is out
+        assert_bitwise_equal(out, ref)
+
+    @pytest.mark.parametrize("src_shape", [(3, 2), (6, 2), (1, 1), (3, 5), (2, 4)],
+                             ids=["narrow", "rows_folded_into_width", "broadcast",
+                                  "wide", "fewer_rows"])
+    def test_src_that_does_not_fit_raises(self, src_shape):
+        # out rows have width 4 and the index has 3 entries
+        with pytest.raises(ValueError, match="scatter_add_rows: src"):
+            _kernels.scatter_add_rows(np.ones(src_shape), np.zeros(3, dtype=np.int64),
+                                      np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_index_past_the_last_row_raises(self, width):
+        out = np.zeros((4, width))
+        with pytest.raises(IndexError):
+            _kernels.scatter_add_rows(np.ones((2, width)), np.array([1, 4]), out)
+
+    def test_scatter_add_refuses_a_negative_index(self):
+        # np.add.at, and so the kernel, would add index -1 into the last row;
+        # test_autodiff's test_message_index_checked covers message's guard
+        with pytest.raises(ad.ShapeMismatch):
+            ad.scatter_add(ad.Tensor(np.ones((2, 4))), np.array([0, -1]), 3)

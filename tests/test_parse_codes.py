@@ -3,7 +3,7 @@
 A list's codes must equal, field by field, the concatenation of the one-row
 codes that ``parse_smiles`` gives each of its molecules, and one malformed
 SMILES anywhere in the list must raise the parser's own refusal, naming its
-1-based position and its SMILES.
+1-based position (or the ``path:line`` it is given) and its SMILES.
 """
 
 import sys
@@ -59,3 +59,18 @@ def test_a_malformed_molecule_is_refused_by_position(smis, bad, at):
         smiles.parse_codes(smis[:k - 1] + [bad] + smis[k - 1:])
     assert err.value.offset == own.value.offset
     assert str(err.value) == f"molecule {k} ({bad!r}): {own.value}"
+
+
+@seed(20253)
+@settings(max_examples=40, deadline=None)
+@given(molecule_lists, st.sampled_from(MALFORMED), st.integers(0, 25))
+def test_a_malformed_molecule_is_refused_by_where_it_stands(smis, bad, at):
+    k = min(at, len(smis))
+    mols = smis[:k] + [bad] + smis[k:]
+    where = [f"requests.csv:{2 * i + 3}" for i in range(len(mols))]
+    with pytest.raises(smiles.SmilesError) as own:
+        smiles.parse_smiles(bad)
+    with pytest.raises(type(own.value)) as err:
+        smiles.parse_codes(mols, where)
+    assert err.value.offset == own.value.offset
+    assert str(err.value) == f"requests.csv:{2 * k + 3}: {bad!r}: {own.value}"
