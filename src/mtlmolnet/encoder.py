@@ -7,7 +7,10 @@ information never bounces straight back. A final atom readout pools
 incoming edge states and a mean over atoms yields the fingerprint. A step
 is two autodiff nodes, ``message`` (aggregate and subtract the reverse
 edge) and ``add_relu`` around the message matmul, in training and serving
-alike.
+alike. The directed edges come in pairs (edge 2i+1 reverses edge 2i), so
+the reverse edge is a view and no reverse index is stored. No name holds a
+step's message: under ``no_grad`` it is freed as soon as the matmul has
+read it, so a serving step holds one edge-state array less.
 
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
@@ -85,15 +88,15 @@ class UnionGraph:
     """The disjoint union of a batch of molecule graphs, as flat arrays.
 
     Atoms and directed edges keep the batch's molecule order and, within a
-    molecule, the graph's own order; ``src``/``dst`` index batch atoms and
-    ``rev`` indexes batch edges.
+    molecule, the graph's own order; ``src``/``dst`` index batch atoms. The
+    edges keep the pair layout of ``smiles._directed_edges`` (the reverse of
+    edge e is e ^ 1), so no reverse-edge index is stored.
     """
 
     atom_features: np.ndarray  # [A x F_a]
     edge_features: np.ndarray  # [E x F_b], the bond features of each edge
     src: np.ndarray  # [E]
     dst: np.ndarray  # [E]
-    rev: np.ndarray  # [E]
     mol_of_atom: np.ndarray  # [A]
     inv_atoms: np.ndarray  # [B x 1], 1 / atom count
 
@@ -118,14 +121,13 @@ class GraphPack:
         rows = np.asarray(rows, dtype=np.int64)
         atom_idx, bond_idx, n_atoms, n_bonds = self.codes.spans(rows)
         atom_base = np.cumsum(n_atoms) - n_atoms  # first batch atom of each row
-        src, dst, bond, rev = smiles._directed_edges(
-            self.codes.ends[:, bond_idx] + np.repeat(atom_base, n_bonds))
+        src, dst, bond = smiles._directed_edges(
+            self.codes.ends[:, bond_idx] + np.repeat(atom_base, n_bonds))[:3]
         return UnionGraph(
             atom_features=self.atom_features[atom_idx],
             edge_features=self.bond_features[bond_idx[bond]],
             src=src,
             dst=dst,
-            rev=rev,
             mol_of_atom=np.repeat(np.arange(len(rows)), n_atoms),
             inv_atoms=(1.0 / n_atoms)[:, None],
         )
@@ -161,15 +163,16 @@ def encode_batch(graphs, params, union=None):
 
     atom_feats = union.atom_features
     n_atoms_total = len(atom_feats)
-    src, dst, rev = union.src, union.dst, union.rev
+    src, dst = union.src, union.dst
 
     # edge inputs [x_v || e_vw] are constants; keep them off the tape
     edge_in = Tensor(np.concatenate([atom_feats[src], union.edge_features], axis=1))
     h0 = ad.relu(ad.matmul(edge_in, params.w_in))
     h = h0
     for _ in range(params.depth - 1):
-        msg = ad.message(h, src, dst, rev, n_atoms_total)
-        h = ad.add_relu(h0, ad.matmul(msg, params.w_msg))
+        # no name holds the message: under no_grad it is freed once the
+        # matmul has read it, before add_relu allocates
+        h = ad.add_relu(h0, ad.matmul(ad.message(h, src, dst, n_atoms_total), params.w_msg))
 
     pooled_edges = ad.scatter_add(h, dst, n_atoms_total)
     readout_in = ad.concat([Tensor(atom_feats), pooled_edges], axis=1)

@@ -170,9 +170,11 @@ def gather_rows(x, index):
     return ad._make(x.data[idx], "gather_rows", (x,), backward_fn)
 
 
-def message_composed(h, src, dst, rev, num_atoms):
-    """``autodiff.message`` from elementary ops."""
+def message_composed(h, src, dst, num_atoms):
+    """``autodiff.message`` from elementary ops, gathering each edge's
+    reverse by an explicit index ``e ^ 1``."""
     incoming = ad.scatter_add(h, dst, num_atoms)
+    rev = np.arange(len(src)) ^ 1
     return ad.sub(gather_rows(incoming, src), gather_rows(h, rev))
 
 

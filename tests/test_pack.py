@@ -41,7 +41,8 @@ def prepared_table(tmp_path, n=36):
 
 
 def reference_union(graphs):
-    """The disjoint union built one featurized graph at a time."""
+    """The disjoint union built one featurized graph at a time, and the
+    reverse edge of each of its edges."""
     graphs = [smiles.featurize(dataclasses.replace(g)) for g in graphs]
     src, dst, rev, efeat, mol_of_atom = [], [], [], [], []
     atom_off = edge_off = 0
@@ -60,12 +61,11 @@ def reference_union(graphs):
         "atom_features": np.concatenate([g.atom_features for g in graphs]),
         "src": np.concatenate(src) if src else empty,
         "dst": np.concatenate(dst) if dst else empty,
-        "rev": np.concatenate(rev) if rev else empty,
         "edge_features": (np.concatenate(efeat) if efeat
                           else np.zeros((0, smiles.BOND_FEATURE_DIM))),
         "mol_of_atom": np.array(mol_of_atom, dtype=np.int64),
         "inv_atoms": np.array([[1.0 / g.n_atoms] for g in graphs]),
-    }
+    }, (np.concatenate(rev) if rev else empty)
 
 
 def assert_bitwise_equal(a, b):
@@ -85,9 +85,11 @@ class TestGather:
                                replace=False) for _ in range(30)]
         for rows in subsets:
             union = table.pack.gather(rows)
-            ref = reference_union([table.pack.graphs[r] for r in rows])
+            ref, ref_rev = reference_union([table.pack.graphs[r] for r in rows])
             for name, expected in ref.items():
                 assert_bitwise_equal(getattr(union, name), expected)
+            # the union stores no reverse index: the layout pairs e with e ^ 1
+            assert_bitwise_equal(ref_rev, np.arange(len(union.src)) ^ 1)
 
     def test_bondless_rows_only(self, tmp_path):
         table = prepared_table(tmp_path)

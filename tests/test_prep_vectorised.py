@@ -72,8 +72,8 @@ def test_pack_features_and_edges_match_oracle(prepared):
     ref_edges = np.concatenate(ref_edges)
     assert_bits(union.src, ref_edges[:, 0])
     assert_bits(union.dst, ref_edges[:, 1])
-    assert_bits(union.rev, ref_edges[:, 3])
-    assert_bits(union.rev, np.arange(len(ref_edges)) ^ 1)
+    # the union stores no reverse index: message pairs edge e with e ^ 1
+    assert_bits(ref_edges[:, 3], np.arange(len(union.src)) ^ 1)
     assert_bits(union.edge_features, np.concatenate(
         [bf[e[:, 2]] for e, (_, bf) in zip(local_edges, ref)]))
 
