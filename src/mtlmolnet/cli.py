@@ -8,7 +8,6 @@ diagnostics go to stderr. Exit codes: 2 config error, 3 data error,
 """
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -51,13 +50,6 @@ class NoTestData(ValueError):
 
 def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
-
-
-@contextlib.contextmanager
-def _output(path):
-    """A CSV writer on the file ``path``, or on stdout when no path is given."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        yield tables.writer(fh)
 
 
 def _out_dir(path):
@@ -235,37 +227,30 @@ _HISTORY_COLUMNS = ("epoch", "task", "loss", "r", "beta_eff", "w", "val_metric")
 
 
 def write_history(path, rows):
-    with _output(path) as writer:
-        writer.writerow(_HISTORY_COLUMNS)
-        for row in rows:
-            val = row["val_metric"]
-            writer.writerow([
-                row["epoch"], row["task"], repr(float(row["loss"])),
-                repr(float(row["r"])), repr(float(row["beta_eff"])),
-                repr(float(row["w"])), "" if val is None else repr(float(val)),
-            ])
+    tables.write_csv(path, _HISTORY_COLUMNS, ([row[c] for c in _HISTORY_COLUMNS] for row in rows))
+
+
+def _require_columns(path, header, columns, kind):
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise dat.DatasetError(f"{path}: {kind} lacks column(s) {', '.join(missing)}")
 
 
 def read_history(path):
     """The rows of a history CSV. A row of another width than the header,
-    a bad number or a non-finite one is refused by file and line."""
+    or a cell that is not a finite number, is refused by file, line and
+    column."""
     header, lines = tables.read_csv(path)
-    missing = [c for c in _HISTORY_COLUMNS if c not in header]
-    if missing:
-        raise dat.DatasetError(f"{path}: history lacks column(s) {', '.join(missing)}")
+    _require_columns(path, header, _HISTORY_COLUMNS, "history")
     rows = []
     for lineno, fields in lines:
         cells = dict(zip(header, fields))
-        try:
-            row = {"epoch": int(cells["epoch"]), "task": cells["task"],
-                   **{c: float(cells[c]) for c in _HISTORY_COLUMNS[2:6]},
-                   "val_metric": float(cells["val_metric"]) if cells["val_metric"] else None}
-        except ValueError as err:
-            raise dat.DatasetError(f"{path}:{lineno}: {err}") from None
-        for c in _HISTORY_COLUMNS[2:]:
-            if row[c] is not None and not math.isfinite(row[c]):
-                raise dat.DatasetError(f"{path}:{lineno}: non-finite {c} {cells[c]!r}")
-        rows.append(row)
+        val = cells["val_metric"]
+        rows.append({
+            "epoch": tables.number(cells["epoch"], path, lineno, "epoch", int),
+            "task": cells["task"],
+            **{c: tables.number(cells[c], path, lineno, c) for c in _HISTORY_COLUMNS[2:6]},
+            "val_metric": tables.number(val, path, lineno, "val_metric") if val else None})
     if not rows:
         raise HistoryMissing(f"history file {path!r} is empty")
     return rows
@@ -342,21 +327,13 @@ def cmd_ablate(args):
         for seed in seeds:
             _, val_scores = _train_one(table, specs, vcfg, seed, out_dir / variant)
             runs.append(val_scores)
-        per_variant[variant] = met.aggregate(
-            runs, metrics={s.name: s.metric for s in specs})
+        report = met.aggregate(runs, metrics={s.name: s.metric for s in specs})
+        per_variant[variant] = {t: f"{m:.3f}±{sd:.3f}" for t, _, m, sd in report.rows}
         print(f"variant {variant}: done ({len(seeds)} seed(s))", file=sys.stderr)
 
     out_path = out_dir / "ablation.csv"
-    task_names = [s.name for s in specs]
-    with _output(out_path) as writer:
-        writer.writerow(["task", *VARIANTS])
-        for name in task_names:
-            row = [name]
-            for variant in VARIANTS:
-                stats = {t: (m, s) for t, _, m, s in per_variant[variant].rows}
-                mean, std = stats[name]
-                row.append(f"{mean:.3f}±{std:.3f}")
-            writer.writerow(row)
+    tables.write_csv(out_path, ["task", *VARIANTS],
+                     ([s.name, *(per_variant[v][s.name] for v in VARIANTS)] for s in specs))
     print(out_path.read_text().strip())
     return 0
 
@@ -401,10 +378,8 @@ def cmd_predict(args):
     params, cfg, stats, specs = _load_serving(args)
     mols, pack, features = _prepare_request(args, cfg, stats)
     probs = mdl.predict_rows(pack, np.arange(len(mols)), features, params)
-    with _output(args.out) as writer:
-        writer.writerow(["smiles"] + [s.name for s in specs])
-        for smi, row in zip(mols, probs):
-            writer.writerow([smi] + [repr(float(v)) for v in row])
+    tables.write_csv(args.out, ["smiles", *(s.name for s in specs)],
+                     ([smi, *row] for smi, row in zip(mols, probs)))
     return 0
 
 
@@ -430,16 +405,14 @@ def cmd_eval(args):
     features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
     scores = mdl.evaluate_split(table, params, "test", features)
 
-    with _output(args.out) as writer:
-        writer.writerow(["task", "metric", "value"])
-        for spec in specs:
-            value = scores.get(spec.name)
-            if value is None:
-                print(f"warning: task {spec.name}: metric undefined on test split "
-                      "(missing or single-class labels)", file=sys.stderr)
-                writer.writerow([spec.name, spec.metric, "N/A"])
-            else:
-                writer.writerow([spec.name, spec.metric, repr(float(value))])
+    rows = []
+    for spec in specs:
+        value = scores.get(spec.name)
+        if value is None:
+            print(f"warning: task {spec.name}: metric undefined on test split "
+                  "(missing or single-class labels)", file=sys.stderr)
+        rows.append([spec.name, spec.metric, "N/A" if value is None else value])
+    tables.write_csv(args.out, ["task", "metric", "value"], rows)
     return 0
 
 
@@ -516,19 +489,23 @@ def cmd_bench(args):
     return 0
 
 
+_BETA_COLUMNS = ("task", "data_scale", "beta_eff")
+
+
 def write_beta_table(path, rows):
     """Rows of (task, data_scale, beta_eff) -> CSV."""
-    with _output(path) as writer:
-        writer.writerow(["task", "data_scale", "beta_eff"])
-        for task, scale, beta in rows:
-            writer.writerow([task, int(scale), repr(float(beta))])
+    tables.write_csv(path, _BETA_COLUMNS, rows)
 
 
 def read_beta_table(path):
-    """The (task, data_scale, beta_eff) rows of a ``write_beta_table`` CSV."""
+    """The (task, data_scale, beta_eff) rows of a ``write_beta_table`` CSV.
+    A missing column is refused by file, a scale that is not an integer or
+    an exponent that is not a finite number by file, line and column."""
     header, rows = tables.read_csv(path)
-    task, scale, beta = (header.index(c) for c in ("task", "data_scale", "beta_eff"))
-    return [(f[task], int(f[scale]), float(f[beta])) for _, f in rows]
+    _require_columns(path, header, _BETA_COLUMNS, "beta table")
+    task, scale, beta = map(header.index, _BETA_COLUMNS)
+    return [(f[task], tables.number(f[scale], path, lineno, "data_scale", int),
+             tables.number(f[beta], path, lineno, "beta_eff")) for lineno, f in rows]
 
 
 def cmd_analyze(args):
@@ -574,15 +551,12 @@ def cmd_analyze(args):
 
     if args.checkpoint:
         fps = mdl.embed_rows(pack, np.arange(len(mols)), params.encoder)
-        with _output(out_dir / "embeddings.csv") as writer:
-            writer.writerow(["smiles"] + [f"e{i}" for i in range(fps.shape[1])])
-            for smi, row in zip(mols, fps):
-                writer.writerow([smi] + [repr(float(v)) for v in row])
+        tables.write_csv(out_dir / "embeddings.csv",
+                         ["smiles", *(f"e{i}" for i in range(fps.shape[1]))],
+                         ([smi, *row] for smi, row in zip(mols, fps)))
         res = met.pca(fps, k=2)
-        with _output(out_dir / "pca.csv") as writer:
-            writer.writerow(["row_id", "pc1", "pc2"])
-            for i, row in enumerate(res.projected):
-                writer.writerow([i, repr(float(row[0])), repr(float(row[1]))])
+        tables.write_csv(out_dir / "pca.csv", ["row_id", "pc1", "pc2"],
+                         ([i, *row] for i, row in enumerate(res.projected)))
         print(f"explained_variance,{res.explained_variance[0]:.6g},"
               f"{res.explained_variance[1]:.6g}")
     return 0

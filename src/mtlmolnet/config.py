@@ -7,6 +7,7 @@ uniform. ``TrainConfig.param_shapes`` states the parameter layout.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from . import smiles
@@ -31,6 +32,13 @@ class TrainConfig:
     bond_dim: int = smiles.BOND_FEATURE_DIM
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "hidden", "depth", "ffn_hidden",
+                     "atom_dim", "bond_dim"):
+            value = getattr(self, name)
+            # a bool is an int to Python, and numpy's integer scalars pass as ints
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         for name in ("batch_size", "hidden", "ffn_hidden", "depth"):

@@ -13,7 +13,6 @@ Standardization is a per-dimension z-score with training-split statistics
 and stay exactly zero. The mask channels are never standardized.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -210,16 +209,9 @@ def load_qc_descriptors(path, molecules):
         mask = np.zeros(QC_DIM)
         for j, cell in enumerate(row[1:]):
             cell = cell.strip()
-            if cell == "":
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise MalformedRow(f"{path}:{lineno}: bad number {cell!r}") from None
-            if not math.isfinite(value):
-                raise MalformedRow(f"{path}:{lineno}: non-finite value {cell!r}")
-            vals[j] = value
-            mask[j] = 1.0
+            if cell:
+                vals[j] = tables.number(cell, path, lineno)
+                mask[j] = 1.0
         if smi in table:
             warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
                           DuplicateSmiles)
@@ -250,13 +242,7 @@ def load_external_phys(path, molecules):
     table = {}
     for lineno, row in rows:
         smi = row[0]
-        try:
-            vals = np.array([float(c) for c in row[1:]])
-        except ValueError:
-            raise MalformedRow(f"{path}:{lineno}: non-numeric descriptor") from None
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if len(bad):
-            raise MalformedRow(f"{path}:{lineno}: non-finite value {row[1 + bad[0]]!r}")
+        vals = np.array([tables.number(c, path, lineno) for c in row[1:]])
         if smi in table:
             warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
                           DuplicateSmiles)
@@ -273,11 +259,8 @@ def load_external_phys(path, molecules):
 
 def write_external_phys(path, molecules, matrix):
     """Inverse of load_external_phys; values round-trip via repr."""
-    with open(path, "w", newline="") as fh:
-        writer = tables.writer(fh)
-        writer.writerow(["smiles"] + [f"d{i}" for i in range(PHYS_DIM)])
-        for smi, row in zip(molecules, matrix):
-            writer.writerow([smi] + [repr(float(v)) for v in row])
+    tables.write_csv(path, ["smiles", *(f"d{i}" for i in range(PHYS_DIM))],
+                     ([smi, *row] for smi, row in zip(molecules, matrix)))
 
 
 def fit_stats(blocks, indices=None):

@@ -140,11 +140,7 @@ class MetricsReport:
     rows: list  # (task, metric, mean, std)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = tables.writer(fh)
-            writer.writerow(["task", "metric", "mean", "std"])
-            for task, metric, mean, std in self.rows:
-                writer.writerow([task, metric, repr(mean), repr(std)])
+        tables.write_csv(path, ["task", "metric", "mean", "std"], self.rows)
 
     def to_text(self):
         widths = [max(len(str(r[0])) for r in self.rows) if self.rows else 4, 6]

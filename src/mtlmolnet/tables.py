@@ -1,10 +1,19 @@
-"""The CSV format of every file the program reads or writes: ``read_csv``
-is the one reader, which names the file and the physical line of each
-refusal, and ``writer`` the one dialect of every CSV output."""
+"""The CSV format of every file the program reads or writes.
+
+``read_csv`` is the one reader: it names the file and the physical line of
+each refusal. ``number`` is the one rule for a numeric cell: the number
+``float`` (or ``int``) parses from the text, refused unless it is finite.
+``write_csv`` is the one writer, in the one dialect of ``writer``: it
+writes a float cell as ``repr(float(x))``, the shortest text that reads back
+as the same float, and None as an empty cell.
+"""
 
 import codecs
+import contextlib
 import csv
 import io
+import math
+import sys
 from pathlib import Path
 
 
@@ -61,6 +70,33 @@ def _rows(path, reader):
         raise MalformedRow(f"{path}:{reader.line_num}: {err}") from None
 
 
+def number(text, path, line, column=None, kind=float):
+    """The number ``kind`` (float or int) parses from the cell ``text`` on
+    line ``line`` of ``path``; a cell it cannot parse, or a float that is
+    not finite, is a MalformedRow naming the file, the line, the column
+    when one is given, and the cell."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise MalformedRow(f"{path}:{line}: bad {column or 'number'} {text!r}") from None
+    if kind is int or math.isfinite(value):
+        return value
+    raise MalformedRow(f"{path}:{line}: non-finite {column or 'value'} {text!r}")
+
+
 def writer(fh):
     """A CSV writer on the text file ``fh`` (opened with ``newline=""``)."""
     return csv.writer(fh, lineterminator="\n")
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` to the file ``path``, or to stdout
+    when ``path`` is None. A float cell (numpy's float64 is one) is written
+    as ``repr(float(x))``; the csv module writes None as an empty cell and
+    any other cell as its ``str``."""
+    sink = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with sink as fh:
+        out = writer(fh)
+        out.writerow(header)
+        out.writerows([repr(float(c)) if isinstance(c, float) else c for c in row]
+                      for row in rows)

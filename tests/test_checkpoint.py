@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -324,3 +327,116 @@ class TestPhysSource:
         save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(6)), SPECS[:1])
         write_manifest(path, edit)
         assert_refused(path, tmp_path, capsys, match="phys source")
+
+
+class TestIntegerConfigFields:
+    """An integer field of the config that holds anything but an integer, a
+    bool included, is refused by ``TrainConfig``; in a checkpoint's manifest
+    that makes a malformed config (exit 3), not a traceback."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 4.0), ("depth", 2.5), ("depth", 4.0), ("depth", float("nan")),
+        ("hidden", True), ("ffn_hidden", "3"), ("epochs", 30.0), ("seed", False),
+        ("batch_size", None), ("atom_dim", [39])])
+    def test_checkpoint_refused_as_malformed_config(self, tmp_path, capsys, key, value):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
+        write_manifest(path, lambda m: {**m, "config": {**m["config"], key: value}})
+        assert_refused(path, tmp_path, capsys,
+                       match=f"^{re.escape(str(path))}: malformed config or tasks "
+                             f"\\({key} must be an integer, got ")
+
+    @pytest.mark.parametrize("value", [4.0, True, np.float64(4.0), np.bool_(True), "4"],
+                             ids=["float", "bool", "np_float64", "np_bool", "string"])
+    def test_non_integer_raises(self, value):
+        with pytest.raises(ValueError, match="^hidden must be an integer, got "):
+            TrainConfig(hidden=value)
+
+    def test_numpy_integers_pass_as_python_ints(self):
+        cfg = TrainConfig(hidden=np.int64(4), depth=np.int32(2), seed=np.uint8(3))
+        assert [(type(v), v) for v in (cfg.hidden, cfg.depth, cfg.seed)] == [
+            (int, 4), (int, 2), (int, 3)]
+        json.dumps(cfg.to_dict())  # so the manifest can record them
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A directory holding a valid two-task checkpoint and a request file."""
+    d = tmp_path_factory.mktemp("contract")
+    cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+    params = mdl.init_model(cfg, n_tasks=2, rng=np.random.default_rng(9))
+    save_checkpoint(d / "model.ckpt", params, cfg, make_stats(np.random.default_rng(9)), SPECS)
+    (d / "mols.txt").write_text("CCO\nc1ccccc1O\nCC(=O)N\n")
+    return d
+
+
+def predict_on(d, label, raw):
+    """``predict`` on a checkpoint holding the bytes ``raw``: its exit code,
+    after checking the contract: it returns 0, 2, 3 or 4, raises nothing
+    and prints at most one ``error:`` line, which names the file on exit 3."""
+    path = d / "mutated.ckpt"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["predict", "--checkpoint", str(path), "--data", str(d / "mols.txt"),
+                           "--out", str(d / "out.csv")])
+    except Exception as exc:  # the contract is that nothing escapes main
+        pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert rc in (0, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC), label
+    assert len(errors) == (rc != 0), (label, errors)
+    if rc == cli.EXIT_DATA:
+        assert errors[0].startswith(f"error: {path}: "), (label, errors)
+    return rc
+
+
+class TestInputContract:
+    """Mutated checkpoints, deterministically: truncations, bit flips and
+    inserted NUL bytes in each part of the file, and every config and task
+    value swapped for each JSON type. A flipped blob byte may load and exit
+    0, since the blob carries no checksum."""
+
+    def test_the_valid_file_predicts(self, saved):
+        assert predict_on(saved, "valid", (saved / "model.ckpt").read_bytes()) == 0
+
+    @pytest.mark.parametrize("op", ["truncate", "flip", "nul"])
+    @pytest.mark.parametrize("part", ["header", "manifest", "blob"])
+    def test_byte_mutations(self, saved, part, op):
+        raw = (saved / "model.ckpt").read_bytes()
+        header, manifest, _ = raw.split(b"\n", 2)
+        start, end = {"header": (0, len(header) + 1),
+                      "manifest": (len(header) + 1, len(header) + len(manifest) + 2),
+                      "blob": (len(header) + len(manifest) + 2, len(raw))}[part]
+        rng = np.random.default_rng(["header", "manifest", "blob"].index(part))
+        for at in [start, end - 1, *rng.integers(start, end, 14)]:
+            mutated = {"truncate": raw[:at],
+                       "flip": raw[:at] + bytes([raw[at] ^ 1 << int(rng.integers(8))])
+                       + raw[at + 1:],
+                       "nul": raw[:at] + b"\0" + raw[at:]}[op]
+            predict_on(saved, f"{part} {op} at byte {at}", mutated)
+
+    @pytest.mark.parametrize("kind", ["float", "bool", "string", "null", "list"])
+    def test_type_swaps(self, saved, kind):
+        raw = (saved / "model.ckpt").read_bytes()
+        header, line, blob = raw.split(b"\n", 2)
+        manifest = json.loads(line)
+
+        swapped = {"float": lambda v: float(v) if isinstance(v, int) else 2.5,
+                   "bool": lambda v: True, "string": json.dumps, "null": lambda v: None,
+                   "list": lambda v: [v]}[kind]
+
+        def run(label, edited):
+            return predict_on(saved, label, header + b"\n" + json.dumps(edited).encode()
+                              + b"\n" + blob)
+
+        for key, value in manifest["config"].items():
+            config = {**manifest["config"], key: swapped(value)}
+            rc = run(f"config {key} as {kind}", {**manifest, "config": config})
+            if isinstance(value, int):  # an integer field takes nothing else
+                assert rc == cli.EXIT_DATA, key
+        for key, value in manifest["tasks"][0].items():
+            tasks = [{**manifest["tasks"][0], key: swapped(value)}, *manifest["tasks"][1:]]
+            run(f"task {key} as {kind}", {**manifest, "tasks": tasks})

@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
-from mtlmolnet import cli
+from mtlmolnet import cli, tables
 from mtlmolnet import features as feat
 from mtlmolnet import metrics as met
 from mtlmolnet import model as mdl
@@ -793,3 +793,16 @@ class TestBetaTableRoundTrip:
         cli.write_beta_table(path, rows)
         back = cli.read_beta_table(path)
         assert back == rows
+
+    @pytest.mark.parametrize("text, where", [
+        ("task,beta_eff\nalpha,5.1\n", ": beta table lacks column(s) data_scale"),
+        ("task,data_scale,beta_eff\nalpha,x,5.1\n", ":2: bad data_scale 'x'"),
+        ("task,data_scale,beta_eff\nalpha,640,5.1\n\nbeta,7255.0,1.4\n",
+         ":4: bad data_scale '7255.0'"),
+        ("task,data_scale,beta_eff\nalpha,640,nan\n", ":2: non-finite beta_eff 'nan'"),
+    ], ids=["no_scale_column", "scale_x", "scale_float", "nan_beta"])
+    def test_malformed_table_refused_by_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "beta.csv"
+        path.write_text(text)
+        with pytest.raises(tables.DatasetError, match=f"^{re.escape(str(path) + where)}$"):
+            cli.read_beta_table(path)

@@ -199,7 +199,7 @@ class TestExternalPhys:
         p = tmp_path / "phys.csv"
         self._write(p, ["CCO," + ",".join(["0"] * 200), "", "",
                         "CCN," + ",".join(["x"] * 200)])
-        with pytest.raises(feat.MalformedRow, match=":5: non-numeric"):
+        with pytest.raises(feat.MalformedRow, match=":5: bad number 'x'$"):
             feat.load_external_phys(p, ["CCO"])
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -219,7 +219,7 @@ class TestExternalPhys:
         np.testing.assert_array_equal(out, np.ones((1, 200)))
 
     @pytest.mark.parametrize("cell, message", [("nan", "non-finite value 'nan'$"),
-                                               ("x", "non-numeric descriptor$")])
+                                               ("x", "bad number 'x'$")])
     def test_malformed_duplicate_refused(self, tmp_path, cell, message):
         # a duplicate is validated before it is skipped, as in the qc loader
         p = tmp_path / "phys.csv"

@@ -6,6 +6,7 @@ or 4, never raises, and prints at most one ``error:`` line; a decode or
 width fault is refused naming the file and the line.
 """
 
+import ast
 import codecs
 import contextlib
 import csv
@@ -86,6 +87,58 @@ class TestReadCsv:
         fh = io.StringIO(newline="")
         tables.writer(fh).writerows([["a", "b,c"], ["1", "2"]])
         assert fh.getvalue() == 'a,"b,c"\n1,2\n'
+
+
+class TestNumber:
+    @pytest.mark.parametrize("text, kind, value", [
+        ("1.5", float, 1.5), (" -2e-3 ", float, -2e-3), ("0.1", float, 0.1),
+        ("7", int, 7), (" 12 ", int, 12)])
+    def test_finite_number_is_read(self, text, kind, value):
+        got = tables.number(text, "t.csv", 2, kind=kind)
+        assert got == value and type(got) is kind
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("x", None, "t.csv:4: bad number 'x'"),
+        ("", None, "t.csv:4: bad number ''"),
+        ("nan", None, "t.csv:4: non-finite value 'nan'"),
+        ("-inf", None, "t.csv:4: non-finite value '-inf'"),
+        ("1e999", "beta_eff", "t.csv:4: non-finite beta_eff '1e999'"),
+        ("1,5", "loss", "t.csv:4: bad loss '1,5'")])
+    def test_refusal_names_file_line_column_and_cell(self, text, column, message):
+        with pytest.raises(tables.MalformedRow, match=f"^{re.escape(message)}$"):
+            tables.number(text, "t.csv", 4, column)
+
+    @pytest.mark.parametrize("text", ["2.0", "2.5", "nan", "x"])
+    def test_an_integer_cell_takes_no_fraction(self, text):
+        with pytest.raises(tables.MalformedRow, match=f"^t.csv:3: bad epoch {text!r}$"):
+            tables.number(text, "t.csv", 3, "epoch", int)
+
+
+class TestWriteCsv:
+    def test_floats_round_trip_and_none_is_empty(self, tmp_path):
+        p = tmp_path / "t.csv"
+        cells = [0.1, 1e16, -0.0, np.float64(1 / 3), float("nan")]
+        tables.write_csv(p, ["a", "b", "c", "d", "e", "f", "g"],
+                         [["x,y", 3, *cells], ["z", None, *cells[::-1]]])
+        assert p.read_text() == ('a,b,c,d,e,f,g\n'
+                                 '"x,y",3,0.1,1e+16,-0.0,0.3333333333333333,nan\n'
+                                 'z,,nan,0.3333333333333333,-0.0,1e+16,0.1\n')
+        header, rows = tables.read_csv(p)
+        assert [float(c) for c in next(rows)[1][2:6]] == cells[:4]
+
+    def test_no_path_writes_to_stdout(self, capsys):
+        tables.write_csv(None, ["a"], ([v] for v in (1.5, "b")))
+        assert capsys.readouterr().out == "a\n1.5\nb\n"
+
+
+def test_only_the_tables_module_writes_csv_rows():
+    # one writer: no module writes a row of its own, with its own float format
+    package = Path(tables.__file__).resolve().parent
+    writers = sorted({module.name for module in package.glob("*.py")
+                      for node in ast.walk(ast.parse(module.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("writerow", "writerows")})
+    assert writers == ["tables.py"]
 
 
 def test_feature_file_errors_are_dataset_errors():
