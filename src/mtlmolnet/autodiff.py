@@ -26,9 +26,17 @@ and the bits are those of the elementary ops. ``message`` reads each edge's
 reverse as the pair-swapped view of its input, since the directed edges
 come in pairs (the reverse of edge e is e ^ 1), so no reverse index exists.
 
+``relu`` and ``add_relu`` take ``out=``, in numpy's style: it may name only
+the op's last input, which the result then overwrites with the same bits.
+The encoder passes it for matmul outputs, which no backward reads (matmul's
+backward reads its inputs), so a tape keeps one array per activation, not
+two. A leaf parameter or any other Tensor is refused as ``out`` with
+``InvalidOut``.
+
 A model's parameters live in a ``ParamStore``: one flat float64 vector
 whose reshaped views are the leaf Tensors' ``data``. ``Adam`` runs in place
-over that vector, with its moments and the gathered gradients flat too.
+over that vector with flat moments, and reads each block's gradient from
+the leaves' ``grad`` slices, so it holds no gradient-sized array.
 """
 
 import contextlib
@@ -61,6 +69,10 @@ class TapeConsumed(AutodiffError):
 
 
 class NonFiniteValue(AutodiffError):
+    pass
+
+
+class InvalidOut(AutodiffError):
     pass
 
 
@@ -107,7 +119,8 @@ class Tensor:
             node._consumed = True
             if g is None:
                 continue
-            for parent, pg in zip(parents, fn(g)):
+            grads, g = fn(g), None  # the incoming gradient goes before the sums
+            for parent, pg in zip(parents, grads):
                 if pg is None:
                     continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg
@@ -367,9 +380,25 @@ def scatter_add(x, index, num_rows):
     return _make(out, "scatter_add", (x,), backward_fn)
 
 
-def relu(x):
+def _out_data(op, out, last):
+    """The array an op named ``op`` writes over: ``last.data`` when ``out``
+    is its last input ``last``, None when ``out`` is None. Any other
+    ``out``, or a leaf that tracks gradients (a parameter), is refused."""
+    if out is None:
+        return None
+    if out is not last:
+        raise InvalidOut(f"{op}: out= may name only the op's last input")
+    if last.requires_grad and last._backward_fn is None:
+        raise InvalidOut(f"{op}: out= may not name a leaf that tracks gradients")
+    return last.data
+
+
+def relu(x, *, out=None):
+    """max(x, 0). With ``out=x`` the result is written over x's buffer, in
+    numpy's style, with the same bits; pass it only for an x no backward
+    reads, such as a fresh matmul output."""
     x = _lift(x)
-    data = np.maximum(x.data, 0.0)
+    data = np.maximum(x.data, 0.0, out=_out_data("relu", out, x))
 
     def backward_fn(g):
         return (g * (data > 0),)
@@ -421,14 +450,15 @@ def message(h, src, dst, num_atoms):
     return _make(data, "message", (h, h), backward_fn)
 
 
-def add_relu(a, b):
+def add_relu(a, b, *, out=None):
     """relu(a + b) for two arrays of one shape, as one node with one mask
     for both gradients. The sum is checked before relu, which maps an
-    overflow to -inf to 0; the output is then finite."""
+    overflow to -inf to 0; the output is then finite. With ``out=b`` the
+    result is written over b's buffer, as ``relu``'s ``out=``."""
     a, b = _lift(a), _lift(b)
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"add_relu: {a.data.shape} vs {b.data.shape}")
-    data = np.add(a.data, b.data)
+    data = np.add(a.data, b.data, out=_out_data("add_relu", out, b))
     _check_finite(data, "add_relu", (a, b))
     np.maximum(data, 0.0, out=data)
     a_req, b_req = a.requires_grad, b.requires_grad
@@ -578,40 +608,53 @@ class ParamStore:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
-_BLOCK_BYTES = 1 << 18  # Adam's block: its four slices and two scratch rows stay in cache
+_BLOCK_BYTES = 1 << 18  # Adam's block: its three slices and three scratch rows stay in cache
 
 
 class Adam:
     """Adam with bias correction, in place over the flat vector of a
-    ParamStore; a missing grad counts as zero. The moments ``m``/``v`` and
-    the gathered gradients are flat vectors too. A step runs a per-tensor
-    Adam's elementwise arithmetic in the same order, so the bits are the
-    same at any block size, in blocks of ``_BLOCK_BYTES`` that stay in cache."""
+    ParamStore; a missing grad counts as zero. The moments ``m``/``v`` are
+    flat vectors too. A step runs in blocks of ``_BLOCK_BYTES`` that stay
+    in cache: each block's gradient is copied from the leaves' ``grad``
+    slices into a scratch row, and a per-tensor Adam's elementwise
+    arithmetic runs on it in the same order, so the bits are the same at
+    any block size."""
 
     def __init__(self, store, lr=1e-3):
         self.params = list(store.tensors.values())
         self.flat = store.flat
         self.lr = lr
-        self.m, self.v, self._grad = (np.zeros_like(self.flat) for _ in range(3))
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self.t = 0
-        self._scratch = np.zeros((2, _BLOCK_BYTES // 8))
+        block, size = _BLOCK_BYTES // 8, self.flat.size
+        self._scratch = np.zeros((3, min(block, size)))  # a small store needs less
+        # per block: its bounds and, for each tensor with values in it,
+        # (tensor index, slice of the block, slice of the tensor's flat view)
+        self._plan = []
+        bounds = [(s, s + p.data.size) for s, p in zip(store.starts.values(), self.params)]
+        for lo in range(0, size, block):
+            hi = min(lo + block, size)
+            self._plan.append((lo, hi, [(k, slice(max(s, lo) - lo, min(e, hi) - lo),
+                                         slice(max(s, lo) - s, min(e, hi) - s))
+                                        for k, (s, e) in enumerate(bounds)
+                                        if max(s, lo) < min(e, hi)]))
 
     def step(self):
+        grads = []  # every shape is checked before any update
+        for param in self.params:
+            g = param.grad
+            if g is not None and g.shape != param.data.shape:
+                raise ShapeMismatch(f"Adam: param {param.data.shape} vs grad {g.shape}")
+            grads.append(None if g is None else g.reshape(-1))
         beta1, beta2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         c1 = 1.0 - beta1 ** self.t
         c2 = 1.0 - beta2 ** self.t
-        end = 0
-        for param in self.params:
-            g, start = param.grad, end
-            end += param.data.size
-            if g is not None and g.shape != param.data.shape:
-                raise ShapeMismatch(f"Adam: param {param.data.shape} vs grad {g.shape}")
-            self._grad[start:end] = 0.0 if g is None else g.reshape(-1)
-        block = self._scratch.shape[1]
-        for lo in range(0, end, block):
-            p, g, m, v = (x[lo:lo + block] for x in (self.flat, self._grad, self.m, self.v))
-            a, b = self._scratch[:, :len(p)]
+        for lo, hi, parts in self._plan:
+            p, m, v = (x[lo:hi] for x in (self.flat, self.m, self.v))
+            a, b, g = self._scratch[:, :hi - lo]
+            for k, into, part in parts:
+                g[into] = 0.0 if grads[k] is None else grads[k][part]
             m *= beta1  # m = beta1 * m + (1 - beta1) * g
             np.multiply(g, 1.0 - beta1, out=a)
             m += a

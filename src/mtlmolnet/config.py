@@ -46,11 +46,15 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta_min", "beta_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lr", "beta_min", "beta_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            setattr(self, name, float(value))
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.beta_min > self.beta_max:
             raise ValueError(f"beta_min {self.beta_min} exceeds beta_max {self.beta_max}")
         for name, dim in (("atom_dim", smiles.ATOM_FEATURE_DIM),

@@ -8,9 +8,12 @@ incoming edge states and a mean over atoms yields the fingerprint. A step
 is two autodiff nodes, ``message`` (aggregate and subtract the reverse
 edge) and ``add_relu`` around the message matmul, in training and serving
 alike. The directed edges come in pairs (edge 2i+1 reverses edge 2i), so
-the reverse edge is a view and no reverse index is stored. No name holds a
-step's message: under ``no_grad`` it is freed as soon as the matmul has
-read it, so a serving step holds one edge-state array less.
+the reverse edge is a view and no reverse index is stored. Each activation
+(the input projection's relu, each step's ``add_relu``, the readout's relu)
+overwrites the matmul output it consumes, so the tape holds one array per
+activation. Under ``no_grad`` a step frees the old state once its message
+is built and the message once the matmul has read it, and its ``add_relu``
+allocates nothing.
 
 ``encode_batch`` runs the same recurrence over the disjoint union of many
 molecule graphs at once; per-molecule results are identical to running
@@ -165,18 +168,26 @@ def encode_batch(graphs, params, union=None):
     n_atoms_total = len(atom_feats)
     src, dst = union.src, union.dst
 
-    # edge inputs [x_v || e_vw] are constants; keep them off the tape
-    edge_in = Tensor(np.concatenate([atom_feats[src], union.edge_features], axis=1))
-    h0 = ad.relu(ad.matmul(edge_in, params.w_in))
+    # edge inputs [x_v || e_vw] are constants, kept off the tape and named
+    # by nothing, so under no_grad they go once the matmul has read them.
+    # Each activation overwrites the matmul output it reads (out=), which no
+    # backward reads, so a tape keeps one array per layer, not two.
+    h0 = ad.matmul(Tensor(np.concatenate([atom_feats[src], union.edge_features], axis=1)),
+                   params.w_in)
+    h0 = ad.relu(h0, out=h0)
     h = h0
     for _ in range(params.depth - 1):
-        # no name holds the message: under no_grad it is freed once the
-        # matmul has read it, before add_relu allocates
-        h = ad.add_relu(h0, ad.matmul(ad.message(h, src, dst, n_atoms_total), params.w_msg))
+        # h names each array in turn: under no_grad the old state is freed
+        # once the message is built, the message once the matmul has read
+        # it, and add_relu allocates nothing
+        h = ad.message(h, src, dst, n_atoms_total)
+        h = ad.matmul(h, params.w_msg)
+        h = ad.add_relu(h0, h, out=h)
 
     pooled_edges = ad.scatter_add(h, dst, n_atoms_total)
     readout_in = ad.concat([Tensor(atom_feats), pooled_edges], axis=1)
-    atom_h = ad.relu(ad.matmul(readout_in, params.w_out))
+    atom_h = ad.matmul(readout_in, params.w_out)
+    atom_h = ad.relu(atom_h, out=atom_h)
 
     mol_sum = ad.scatter_add(atom_h, union.mol_of_atom, len(union.inv_atoms))
     return ad.mul(mol_sum, Tensor(union.inv_atoms))

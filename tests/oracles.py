@@ -178,8 +178,9 @@ def message_composed(h, src, dst, num_atoms):
     return ad.sub(gather_rows(incoming, src), gather_rows(h, rev))
 
 
-def add_relu_composed(a, b):
-    """``autodiff.add_relu`` from elementary ops."""
+def add_relu_composed(a, b, *, out=None):
+    """``autodiff.add_relu`` from elementary ops. ``out`` is taken and
+    ignored: writing over b changes no bits, only where they are stored."""
     return ad.relu(ad.add(a, b))
 
 

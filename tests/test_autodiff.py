@@ -509,6 +509,42 @@ class TestAdam:
             assert np.shares_memory(t.data, store.flat)
         np.testing.assert_array_equal(store.tensors["never"].data, init["never"])
 
+    def test_block_edges_on_tensor_boundaries_keep_bits(self, monkeypatch):
+        # blocks of 8 values: "a" ends the first block exactly, "empty" sits on
+        # that boundary between "a" and "b", and "c" ends the second block
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 64)
+        rng = np.random.default_rng(12)
+        shapes = {"a": (2, 4), "empty": (0,), "b": (3,), "c": (5,), "none": (0, 2),
+                  "d": (3, 3), "tail": (2,)}
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        store = store_of(**init)
+        opt = Adam(store, lr=2e-3)
+        ref = ReferenceAdam(list(init.values()), lr=2e-3)
+        for step in range(20):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+                     for name, shape in shapes.items()}
+            grads["b"] = None if step % 2 else grads["b"]
+            grads["c"][rng.random(5) < 0.4] = -0.0
+            for name, t in store.tensors.items():
+                t.grad = grads[name]
+            opt.step()
+            ref.step(list(grads.values()))
+        for (name, t), expected in zip(store.tensors.items(), ref.params):
+            np.testing.assert_array_equal(t.data.view(np.int64), expected.view(np.int64),
+                                          err_msg=name)
+
+    def test_holds_no_gradient_sized_array(self):
+        store = ParamStore([("w", (300, 700)), ("b", (700,))])
+        tracemalloc.start()
+        try:
+            Adam(store)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two moments, the three scratch rows and the block plan (a few
+        # kB of Python objects), and no gradient copy: a third vector is 1.7 MB
+        assert allocated <= 2 * store.flat.nbytes + 3 * ad._BLOCK_BYTES + (1 << 16)
+
     def test_grad_shape_checked(self):
         store = store_of(p=np.zeros((2, 3)))
         store.tensors["p"].grad = np.zeros((3, 2))

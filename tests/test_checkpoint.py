@@ -361,6 +361,41 @@ class TestIntegerConfigFields:
         json.dumps(cfg.to_dict())  # so the manifest can record them
 
 
+class TestFloatConfigFields:
+    """``lr``, ``beta_min`` and ``beta_max`` take a real number and nothing
+    else, a bool included; in a checkpoint's manifest anything else makes a
+    malformed config (exit 3, one ``error:`` line naming the file)."""
+
+    @pytest.mark.parametrize("key", ["lr", "beta_min", "beta_max"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]],
+                             ids=["true", "false", "string", "null", "list"])
+    def test_checkpoint_refused_as_malformed_config(self, tmp_path, key, value):
+        cfg = TrainConfig(hidden=4, ffn_hidden=3, depth=1)
+        params = mdl.init_model(cfg, n_tasks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg, make_stats(np.random.default_rng(4)), SPECS[:1])
+        write_manifest(path, lambda m: {**m, "config": {**m["config"], key: value}})
+        with pytest.raises(CheckpointMismatch,
+                           match=f"^{re.escape(str(path))}: malformed config or tasks "
+                                 f"\\({key} must be a real number, got "):
+            load_checkpoint(path)
+        (tmp_path / "mols.txt").write_text("CCO\n")
+        assert predict_on(tmp_path, f"{key} as {value!r}", path.read_bytes()) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.001", None],
+                             ids=["bool", "np_bool", "string", "none"])
+    @pytest.mark.parametrize("key", ["lr", "beta_min", "beta_max"])
+    def test_non_real_raises(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number, got "):
+            TrainConfig(**{key: value})
+
+    def test_real_numbers_are_stored_as_floats(self):
+        cfg = TrainConfig(lr=np.float32(0.5), beta_min=0, beta_max=np.int64(3))
+        assert [(type(v), v) for v in (cfg.lr, cfg.beta_min, cfg.beta_max)] == [
+            (float, 0.5), (float, 0.0), (float, 3.0)]
+        json.dumps(cfg.to_dict())
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """A directory holding a valid two-task checkpoint and a request file."""
