@@ -19,6 +19,7 @@ one ``readinto`` into an unfilled vector that becomes the model's flat store,
 and the statistics with one more.
 """
 
+import dataclasses
 import io
 import itertools
 import json
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import features as feat
 from .config import TrainConfig
+from .data import parse_task_specs
 from .model import CheckpointMismatch, zero_model
 
 MAGIC = "MTLMOLNET-CKPT-1"
@@ -42,11 +44,7 @@ def save_checkpoint(path, params, cfg, stats, task_specs):
                            + [(name, arr.shape) for name, arr in stats_arrays])
     manifest = {
         "config": cfg.to_dict(),
-        "tasks": [
-            {"name": s.name, "metric": s.metric, "label_column": s.label_column,
-             "split_column": s.split_column}
-            for s in task_specs
-        ],
+        "tasks": [dataclasses.asdict(s) for s in task_specs],
         "descriptors": list(feat.BUILTIN_DESCRIPTOR_NAMES),
         "phys_source": stats.phys_source,
         "tensors": directory,
@@ -110,8 +108,6 @@ def load_checkpoint(path):
 
 
 def _load(path, fh):
-    from .data import TaskSpec
-
     header = fh.readline().rstrip(b"\n")
     if header.decode(errors="replace") != MAGIC:
         raise CheckpointMismatch(f"{path}: bad header {header!r}, expected {MAGIC}")
@@ -137,7 +133,7 @@ def _load(path, fh):
 
     try:
         cfg = TrainConfig.from_dict(manifest["config"])
-        task_specs = [TaskSpec(**t) for t in manifest["tasks"]]
+        task_specs = parse_task_specs(manifest["tasks"])
     except (TypeError, ValueError) as err:
         raise CheckpointMismatch(f"{path}: malformed config or tasks ({err})") from None
     if not task_specs:

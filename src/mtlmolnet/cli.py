@@ -3,8 +3,9 @@
 Configuration comes from flags, optionally seeded by a ``key = value`` text
 file (--config); flags override the file. MTLMOLNET_SEED supplies the
 default seed when --seeds is absent. Data goes to stdout / --out files,
-diagnostics go to stderr. Exit codes: 2 config error, 3 data error,
-4 numeric failure.
+diagnostics go to stderr. One exception base decides each exit code: 2 a
+``ConfigError``, 3 a ``tables.DatasetError`` (or an ``OSError``: a file that
+cannot be read), 4 an ``autodiff.NonFiniteValue``.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from . import model as mdl
 from . import smiles, tables
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import VARIANTS, TrainConfig
-from .model import CheckpointMismatch, NonFiniteLoss
+from .model import CheckpointMismatch
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -40,11 +41,11 @@ class ConfigError(ValueError):
     pass
 
 
-class HistoryMissing(FileNotFoundError):
+class HistoryMissing(tables.DatasetError):
     pass
 
 
-class NoTestData(ValueError):
+class NoTestData(tables.DatasetError):
     pass
 
 
@@ -60,15 +61,14 @@ def _out_dir(path):
 
 
 def read_config_file(path):
-    """Parse a ``key = value`` UTF-8 file; '#' starts a comment. A file that
-    cannot be read or decoded is a ConfigError naming it."""
+    """Parse a ``key = value`` file, read by ``tables.read_text``; '#' starts
+    a comment. A file that cannot be read or decoded is a ConfigError naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = tables.read_text(path)
     except OSError as err:
         raise ConfigError(f"config file {path}: {err.strerror}") from None
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"config file {path}: not UTF-8 at byte {err.start}") from None
+    except tables.DatasetError as err:
+        raise ConfigError(f"config file {err}") from None
     values = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -210,14 +210,6 @@ def merge_config(args):
     return cfg, seeds, paths
 
 
-def _require(paths, key, flag):
-    if not paths.get(key):
-        raise ConfigError(f"missing required {flag}")
-    if not Path(paths[key]).exists():
-        raise ConfigError(f"{flag} file {paths[key]!r} does not exist")
-    return paths[key]
-
-
 def _config_hash(cfg, seeds):
     canon = json.dumps({"config": cfg.to_dict(), "seeds": seeds}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -256,13 +248,19 @@ def read_history(path):
     return rows
 
 
-def _load_table(cfg, paths):
-    data_path = _require(paths, "data", "--data")
-    tasks_path = _require(paths, "tasks", "--tasks")
+def _load_table(cfg, paths, specs=None):
+    """The prepared dataset of ``paths`` and its task specs (``specs``, else
+    the --tasks file's). A variant that fuses quantum descriptors needs --qc."""
+    if specs is None:  # training names both files
+        for key in ("data", "tasks"):
+            if not paths.get(key):
+                raise ConfigError(f"missing required --{key}")
+            if not Path(paths[key]).exists():
+                raise ConfigError(f"--{key} file {paths[key]!r} does not exist")
     if cfg.use_qc and not paths.get("qc"):
         raise ConfigError(f"variant {cfg.variant} needs quantum descriptors: pass --qc")
-    specs = dat.load_task_specs(tasks_path)
-    table = dat.load_dataset(data_path, specs)
+    specs = specs or dat.load_task_specs(paths["tasks"])
+    table = dat.load_dataset(paths["data"], specs)
     dat.prepare_table(table, phys_path=paths.get("phys"), qc_path=paths.get("qc"))
     return table, specs
 
@@ -302,8 +300,8 @@ def cmd_train(args):
         "parameter_count": n_params,
         "tasks": [s.name for s in specs],
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    text = json.dumps(manifest, indent=2, sort_keys=True)  # ASCII: json escapes the rest
+    (out_dir / "manifest.json").write_bytes(text.encode())
 
     report = met.aggregate(runs, metrics={s.name: s.metric for s in specs})
     report.to_csv(out_dir / "val_report.csv")
@@ -314,12 +312,10 @@ def cmd_train(args):
 
 def cmd_ablate(args):
     cfg, seeds, paths = merge_config(args)
-    if not paths.get("qc"):
-        raise ConfigError("ablate trains qc variants: pass --qc")
-    out_dir = _out_dir(paths["out"])
-
+    # one table for all four variants, loaded as qw-mtl reads it: with --qc
     table, specs = _load_table(TrainConfig(**{**cfg.to_dict(), "variant": "qw-mtl"}),
                                paths)
+    out_dir = _out_dir(paths["out"])
     per_variant = {}
     for variant in VARIANTS:
         vcfg = TrainConfig(**{**cfg.to_dict(), "variant": variant})
@@ -334,7 +330,7 @@ def cmd_ablate(args):
     out_path = out_dir / "ablation.csv"
     tables.write_csv(out_path, ["task", *VARIANTS],
                      ([s.name, *(per_variant[v][s.name] for v in VARIANTS)] for s in specs))
-    print(out_path.read_text().strip())
+    print(tables.read_text(out_path).strip())
     return 0
 
 
@@ -394,10 +390,7 @@ def cmd_eval(args):
                 f"{args.tasks}: tasks ({', '.join(names)}) do not match the checkpoint's "
                 f"heads ({', '.join(heads)}), in count, names or order"
             )
-    if cfg.use_qc and not args.qc:
-        raise ConfigError(f"variant {cfg.variant} needs quantum descriptors: pass --qc")
-    table = dat.load_dataset(args.data, specs)
-    dat.prepare_table(table, phys_path=args.phys, qc_path=args.qc)
+    table, _ = _load_table(cfg, vars(args), specs)
 
     view = dat.select_split(table, "test")
     if len(view) == 0 or not view.valid.any():
@@ -513,9 +506,12 @@ def cmd_analyze(args):
     specs = dat.load_task_specs(args.tasks)
     table = dat.load_dataset(args.data, specs)
     if args.checkpoint:
-        # refuse a checkpoint, a split too small for the PCA or a bad
-        # molecule before any output is written
-        params = _load_serving(args)[0]
+        # refuse a checkpoint, a fingerprint or a split too small for the
+        # PCA or a bad molecule before any output is written
+        params, cfg = _load_serving(args)[:2]
+        if cfg.hidden < 2:
+            raise CheckpointMismatch(f"{args.checkpoint}: its fingerprints have hidden width "
+                                     f"{cfg.hidden}; the PCA needs at least two")
         view = dat.select_split(table, args.split)
         if len(view) < 2:
             raise dat.EmptyDataset(f"split {args.split!r} selects {len(view)} row(s); "
@@ -571,17 +567,6 @@ _COMMANDS = {
     "analyze": cmd_analyze,
 }
 
-_DATA_ERRORS = (
-    dat.DatasetError,
-    smiles.SmilesError,
-    HistoryMissing,
-    NoTestData,
-    CheckpointMismatch,
-    OSError,  # a missing or unreadable file, a directory
-)
-
-_NUMERIC_ERRORS = (NonFiniteLoss, ad.NonFiniteValue)
-
 
 def main(argv=None):
     parser = build_parser()
@@ -594,10 +579,10 @@ def main(argv=None):
     except ConfigError as err:
         _err(str(err))
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as err:
+    except ad.NonFiniteValue as err:
         _err(str(err))
         return EXIT_NUMERIC
-    except _DATA_ERRORS as err:
+    except (tables.DatasetError, OSError) as err:  # OSError: a missing or unreadable file
         _err(str(err))
         return EXIT_DATA
 

@@ -12,6 +12,7 @@ match, so a row that is train for task A and test for task B contributes
 only its A label to training.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,20 +268,14 @@ def _gather_batch(view, sel, features):
     )
 
 
-def load_task_specs(path):
-    """Task spec file: JSON list of {name, metric, label_column, split_column}."""
-    import json
-
-    try:
-        raw = json.loads(tables.read_text(path))
-    except json.JSONDecodeError as err:
-        raise DatasetError(f"{path}: task spec file is not valid JSON ({err})") from None
-    if not isinstance(raw, list) or not raw:
-        raise DatasetError(f"{path}: expected a non-empty JSON list of task specs")
+def parse_task_specs(records):
+    """The TaskSpecs of task-spec records, a task file's or a manifest's: JSON
+    objects with a ``name`` and a ``metric``, whose ``label_column`` defaults
+    to the name and ``split_column`` to ``<name>_split``; names are unique."""
     specs = []
-    for entry in raw:
+    for entry in records:
         if not isinstance(entry, dict):
-            raise DatasetError(f"{path}: task spec {entry!r} is not a JSON object")
+            raise DatasetError(f"task spec {entry!r} is not a JSON object")
         try:
             specs.append(TaskSpec(
                 name=entry["name"],
@@ -289,10 +284,23 @@ def load_task_specs(path):
                 split_column=entry.get("split_column", f"{entry['name']}_split"),
             ))
         except KeyError as err:
-            raise DatasetError(f"{path}: task spec missing key {err}") from None
-        except DatasetError as err:
-            raise DatasetError(f"{path}: {err}") from None
+            raise DatasetError(f"task spec missing key {err}") from None
     names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise DatasetError(f"{path}: duplicate task names")
+    twice = sorted({n for n in names if names.count(n) > 1})
+    if twice:
+        raise DatasetError(f"duplicate task names: {', '.join(twice)}")
     return specs
+
+
+def load_task_specs(path):
+    """The TaskSpecs of a task spec file: a non-empty JSON list of records."""
+    text = tables.read_text(path)
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, list) or not raw:
+            raise DatasetError("expected a non-empty JSON list of task specs")
+        return parse_task_specs(raw)
+    except json.JSONDecodeError as err:
+        raise DatasetError(f"{path}: task spec file is not valid JSON ({err})") from None
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from None

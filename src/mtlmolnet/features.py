@@ -190,6 +190,20 @@ def compute_phys_descriptors(g):
     return builtin_phys_block(g)[:len(BUILTIN_DESCRIPTOR_NAMES)]
 
 
+def _rows_by_smiles(path, rows, parse):
+    """``{smiles: parse(line, cells)}`` of the ``(line, [smiles, *cells])`` rows
+    of the file ``path``. Every row is parsed; a repeated SMILES warns, first wins."""
+    table = {}
+    for lineno, (smi, *cells) in rows:
+        values = parse(lineno, cells)
+        if smi in table:
+            warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
+                          DuplicateSmiles)
+        else:
+            table[smi] = values
+    return table
+
+
 def load_qc_descriptors(path, molecules):
     """Load quantum descriptors for the given SMILES list.
 
@@ -202,21 +216,17 @@ def load_qc_descriptors(path, molecules):
     if header != expected:
         raise MalformedRow(f"{path}: header must be {','.join(expected)}")
 
-    table = {}
-    for lineno, row in rows:
-        smi = row[0]
+    def parse(lineno, cells):
         vals = np.zeros(QC_DIM)
         mask = np.zeros(QC_DIM)
-        for j, cell in enumerate(row[1:]):
+        for j, cell in enumerate(cells):
             cell = cell.strip()
             if cell:
                 vals[j] = tables.number(cell, path, lineno)
                 mask[j] = 1.0
-        if smi in table:
-            warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
-                          DuplicateSmiles)
-            continue
-        table[smi] = (vals, mask)
+        return vals, mask
+
+    table = _rows_by_smiles(path, rows, parse)
 
     qc = np.zeros((len(molecules), QC_DIM))
     qc_mask = np.zeros((len(molecules), QC_DIM))
@@ -239,15 +249,8 @@ def load_external_phys(path, molecules):
             f"{path}: expected header smiles,d0..d{PHYS_DIM - 1} "
             f"({PHYS_DIM + 1} columns), got {len(header)}"
         )
-    table = {}
-    for lineno, row in rows:
-        smi = row[0]
-        vals = np.array([tables.number(c, path, lineno) for c in row[1:]])
-        if smi in table:
-            warnings.warn(f"{path}:{lineno}: duplicate SMILES {smi!r}, first occurrence wins",
-                          DuplicateSmiles)
-            continue
-        table[smi] = vals
+    table = _rows_by_smiles(path, rows, lambda lineno, cells: np.array(
+        [tables.number(c, path, lineno) for c in cells]))
 
     out = np.zeros((len(molecules), PHYS_DIM))
     for i, smi in enumerate(molecules):

@@ -32,6 +32,7 @@ from . import encoder as enc
 from . import features as feat
 from . import metrics as met
 from .autodiff import Tensor
+from .tables import DatasetError
 
 
 CHUNK = 200  # molecules per encoder pass when scoring or embedding
@@ -41,11 +42,11 @@ class EmptyBatchLabels(ValueError):
     pass
 
 
-class NonFiniteLoss(RuntimeError):
+class NonFiniteLoss(ad.NonFiniteValue):
     pass
 
 
-class CheckpointMismatch(ValueError):
+class CheckpointMismatch(DatasetError):
     pass
 
 

@@ -52,6 +52,8 @@ from operator import attrgetter
 
 import numpy as np
 
+from .tables import DatasetError
+
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
 
 # default valence sets for implicit-H fill and the audit
@@ -137,7 +139,7 @@ def _allowed_valences(element, charge):
 _ALLOWED = {(e, q): _allowed_valences(e, q) for e in VALENCES for q in range(-4, 5)}
 
 
-class SmilesError(ValueError):
+class SmilesError(DatasetError):
     """Base parse error; ``offset`` is the byte position in the input."""
 
     def __init__(self, message, offset):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 
 class DatasetError(ValueError):
-    """An input file, or a row of one, that the program cannot use."""
+    """An input that the program cannot use: a file, a row, a molecule, a checkpoint."""
 
 
 class EmptyDataset(DatasetError):
@@ -90,11 +90,12 @@ def writer(fh):
 
 
 def write_csv(path, header, rows):
-    """Write ``header`` and then ``rows`` to the file ``path``, or to stdout
-    when ``path`` is None. A float cell (numpy's float64 is one) is written
-    as ``repr(float(x))``; the csv module writes None as an empty cell and
-    any other cell as its ``str``."""
-    sink = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    """Write ``header`` and then ``rows`` to the file ``path`` in UTF-8, as
+    ``read_text`` reads it, or to stdout when ``path`` is None. A float cell
+    (numpy's float64 is one) is written as ``repr(float(x))``; the csv
+    module writes None as an empty cell and any other cell as its ``str``."""
+    sink = (contextlib.nullcontext(sys.stdout) if path is None
+            else open(path, "w", encoding="utf-8", newline=""))
     with sink as fh:
         out = writer(fh)
         out.writerow(header)

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import csv
 import json
 import os
@@ -228,8 +229,8 @@ class TestConfigValues:
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, content, reason", [
-        ("missing.cfg", None, "No such file or directory"),
-        ("latin1.cfg", "hidden = 8  # \u00b5m\n".encode("latin-1"), "not UTF-8 at byte 14"),
+        ("missing.cfg", None, ": No such file or directory"),
+        ("latin1.cfg", "hidden = 8  # \u00b5m\n".encode("latin-1"), ":1: not UTF-8 at byte 14"),
     ], ids=["missing", "not_utf8"])
     def test_unreadable_config_file_exits_2(self, tmp_path, capsys, name, content, reason):
         cfgfile = tmp_path / name
@@ -238,8 +239,16 @@ class TestConfigValues:
         rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: config file {cfgfile}: {reason}"]
+        assert err == [f"error: config file {cfgfile}{reason}"]
         assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        # the config file is read as every other file is: a leading BOM is dropped
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(codecs.BOM_UTF8 + b"lr = 0.002\n")
+        rc = cli.main(["train", "--config", str(cfgfile), *small_flags(tmp_path, epochs="1")])
+        assert rc == 0
+        assert load_checkpoint(tmp_path / "runs" / "model_seed0.ckpt")[1].lr == 0.002
 
     def test_retired_dropout_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -425,6 +434,25 @@ class TestPredictEval:
         assert [r[0] for r in rows[1:]] == ["task0", "task1"]
         assert rows != list(csv.reader(default.splitlines()))
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_checkpoint_repeating_a_task_name_exits_3(self, trained, tmp_path, capsys,
+                                                      command):
+        # a hand-edited manifest is parsed as a task file is: names are unique
+        run_dir, flags = trained
+        ckpt = run_dir / "runs" / "model_seed0.ckpt"
+        magic, line, blob = ckpt.read_bytes().split(b"\n", 2)
+        manifest = json.loads(line)
+        manifest["tasks"][1]["name"] = "task0"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + blob)
+        capsys.readouterr()
+        rc = cli.main([command, "--checkpoint", str(ckpt), "--data",
+                       flags[flags.index("--data") + 1], "--qc", flags[flags.index("--qc") + 1]])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {ckpt}: malformed config or tasks (duplicate task names: task0)"]
+
     def test_checkpoint_directory_exits_3(self, tmp_path, capsys):
         mols = tmp_path / "mols.txt"
         mols.write_text("CCO\n")
@@ -608,6 +636,16 @@ class TestAblate:
         for row in rows[1:]:
             assert all("±" in cell for cell in row[1:])
 
+    def test_missing_qc_exits_2_before_writing(self, tmp_path, capsys):
+        flags = small_flags(tmp_path, epochs="1")
+        i = flags.index("--qc")
+        del flags[i : i + 2]
+        rc = cli.main(["ablate", *flags])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: variant qw-mtl needs quantum descriptors: pass --qc"]
+        assert not (tmp_path / "runs").exists()
+
     def test_full_variant_not_much_worse_than_base(self, tmp_path):
         # strongly separable toy data: both variants should land close
         flags = small_flags(tmp_path, epochs="6")
@@ -711,6 +749,25 @@ class TestAnalyze:
         pca_rows = (run_dir / "analysis" / "pca.csv").read_text().splitlines()
         assert len(pca_rows) == len(emb)  # header + one row per molecule each
         assert emb[0].startswith("smiles,e0,")
+
+    def test_hidden_width_one_exits_3_before_writing(self, tmp_path, capsys):
+        # a one-dimensional fingerprint has no second principal axis
+        flags = small_flags(tmp_path, epochs="1")
+        flags[flags.index("--hidden") + 1] = "1"
+        assert cli.main(["train", *flags]) == 0
+        ckpt = tmp_path / "runs" / "model_seed0.ckpt"
+        out_dir = tmp_path / "analysis"
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--history", str(tmp_path / "runs" / "history_seed0.csv"),
+                       "--data", flags[flags.index("--data") + 1],
+                       "--tasks", flags[flags.index("--tasks") + 1],
+                       "--checkpoint", str(ckpt), "--out", str(out_dir)])
+        assert rc == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
+        assert not out_dir.exists()
 
     def test_history_missing_exits_3(self, tmp_path, capsys):
         flags = small_flags(tmp_path, epochs="1")

@@ -11,7 +11,9 @@ import codecs
 import contextlib
 import csv
 import io
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -24,8 +26,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
-from mtlmolnet import cli, tables
+from mtlmolnet import cli, smiles, tables
 from mtlmolnet import features as feat
+from mtlmolnet import model as mdl
 
 BOM = codecs.BOM_UTF8
 
@@ -141,10 +144,65 @@ def test_only_the_tables_module_writes_csv_rows():
     assert writers == ["tables.py"]
 
 
+def _opens_text(call):
+    """Whether ``call`` opens a file in text mode: ``open`` or ``Path.open``
+    without a binary mode, or a ``read_text`` / ``write_text`` other than
+    ``tables.read_text``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+        return not (isinstance(func.value, ast.Name) and func.value.id == "tables")
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode_at = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode_at = 0
+    else:
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[mode_at] if len(call.args) > mode_at else None)
+    return not (isinstance(mode, ast.Constant) and "b" in mode.value)
+
+
+def test_only_the_tables_module_opens_text_files():
+    # one encoding: no module reads or writes text in the locale's encoding
+    package = Path(tables.__file__).resolve().parent
+    openers = sorted({module.name for module in package.glob("*.py")
+                      for node in ast.walk(ast.parse(module.read_text()))
+                      if isinstance(node, ast.Call) and _opens_text(node)})
+    assert openers == ["tables.py"]
+
+
 def test_feature_file_errors_are_dataset_errors():
+    # and every other refusal of an input, which main maps to exit 3 by this base
     for err in (feat.FeatureFileError, feat.MalformedRow, feat.WrongColumnCount,
-                feat.MissingMolecule):
+                feat.MissingMolecule, smiles.SmilesError, mdl.CheckpointMismatch,
+                cli.NoTestData, cli.HistoryMissing):
         assert issubclass(err, tables.DatasetError)
+
+
+def test_non_ascii_task_name_round_trips_under_an_ascii_locale(tmp_path):
+    # files are written in UTF-8, as they are read, whatever the locale says
+    data, tasks, mols = tmp_path / "data.csv", tmp_path / "tasks.json", tmp_path / "mols.smi"
+    names = synth.write_multitask_csv(data, [24, 16], seed=3, test_every=4)
+    data.write_text(data.read_text().replace(names[0], "\u00b5-task"), encoding="utf-8")
+    synth.write_tasks_file(tasks, ["\u00b5-task", names[1]])
+    mols.write_text("CCO\nc1ccccc1O\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--data", str(data), "--tasks", str(tasks),
+                         "--variant", "multi-rdkit", "--epochs", "1", "--hidden", "4",
+                         "--ffn-hidden", "4", "--depth", "2", "--out", str(tmp_path)]) == 0
+    script = ("import sys\n"
+              "from mtlmolnet import cli, tables\n"
+              "ckpt, mols, out = sys.argv[1:]\n"
+              "rc = cli.main(['predict', '--checkpoint', ckpt, '--data', mols, '--out', out])\n"
+              "print(rc, ascii(tables.read_csv(out)[0]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+        "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "model_seed0.ckpt"),
+                           str(mols), str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == "0 ['smiles', '\\xb5-task', 'task1']\n", proc.stderr
 
 
 @pytest.fixture(scope="module")
