@@ -7,7 +7,12 @@ reverse topological order and accumulates gradients into every
 ``requires_grad`` leaf. The walk frees each node once it has passed it
 (its gradient, parents and closure), so only leaves keep ``grad``, and a
 second backward through any node of a consumed tape raises
-``TapeConsumed``. Operations whose inputs all have
+``TapeConsumed``. A closure may return, for a leaf parent, a zero-argument
+callable instead of an array: a deferred term, which the walk calls after
+the last node, in the order it met them, and adds after the leaf's other
+terms. ``task_heads`` defers its weight gradients this way, so the heads'
+largest gradient is formed after the encoder's backward, not held through
+it. Operations whose inputs all have
 ``requires_grad=False`` record nothing, nor does any operation run under
 ``no_grad()``, as scoring and embedding do.
 
@@ -40,6 +45,7 @@ the leaves' ``grad`` slices, so it holds no gradient-sized array.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -76,6 +82,10 @@ class InvalidOut(AutodiffError):
     pass
 
 
+class DeferredNonLeaf(AutodiffError):
+    pass
+
+
 class Tensor:
     """Dense float64 array with an optional gradient accumulator."""
 
@@ -103,6 +113,13 @@ class Tensor:
         topological order, and its gradient, parents and closure are taken
         off it before the closure runs. So a node's output and gradient are
         freed once nothing else holds them, and only leaves keep ``grad``.
+        A closure may return a zero-argument callable, a deferred term, in
+        place of a leaf parent's gradient. The walk calls each after the
+        last node, in the order it met them, and adds its array after that
+        leaf's other terms, so a term that only a leaf reads is not formed
+        while the rest of the tape still holds its arrays. A deferred term
+        for a parent with a backward raises DeferredNonLeaf.
+
         Raises NotScalar for a non-scalar root and TapeConsumed when the
         tape below this root holds a node an earlier backward freed.
         """
@@ -110,6 +127,7 @@ class Tensor:
             raise NotScalar(f"backward root must be scalar, got shape {self.data.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
+        deferred = []  # (leaf, term), in the order the walk met them
         while order:
             node = order.pop()
             fn, parents, g = node._backward_fn, node._parents, node.grad
@@ -123,7 +141,16 @@ class Tensor:
             for parent, pg in zip(parents, grads):
                 if pg is None:
                     continue
+                if callable(pg):
+                    if parent._backward_fn is not None:
+                        raise DeferredNonLeaf("backward: a deferred term may only "
+                                              "reach a leaf")
+                    deferred.append((parent, pg))
+                    continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg
+        for leaf, term in deferred:
+            pg = term()
+            leaf.grad = pg if leaf.grad is None else leaf.grad + pg
 
     # operator sugar over the module-level functions
     def __add__(self, other):
@@ -485,6 +512,13 @@ def task_heads(x, w1, b1, w2, b2, leaves):
     concat's backward handed each head; b2's gradient sums the rows of a
     contiguous [T x B] copy of g. The pre-activation is checked as well as
     the logits, since relu maps an overflow to 0.
+
+    Backward returns x's, b1's, w2's and b2's gradients as arrays, and each
+    w1's as a deferred term (see ``Tensor.backward``): the first one called
+    forms the stacked [T x D x F] gradient by one ``np.matmul(x.T,
+    g_hidden)``, and each returns its head's slice. So the walk holds only
+    x and the hidden gradient [T x B x F] through the rest of the tape, not
+    the stacked gradient, the largest of the heads at the paper's widths.
     """
     x = _lift(x)
     if x.data.ndim != 2 or x.data.shape[1] != w1.shape[1]:
@@ -510,13 +544,19 @@ def task_heads(x, w1, b1, w2, b2, leaves):
             dx = terms[0]
             for term in terms[1:]:
                 dx = dx + term
-        dw1 = np.matmul(xd.T, g_hidden)
         db1 = g_hidden.sum(axis=1)
         dw2 = np.matmul(hidden.transpose(0, 2, 1), g_cols)
         db2 = np.ascontiguousarray(g.T).sum(axis=1)
+        dw1 = []  # the stacked gradient, once the first deferred term formed it
+
+        def dw1_of(t):
+            if not dw1:
+                dw1.append(np.matmul(xd.T, g_hidden))
+            return dw1[0][t]
+
         grads = [dx]
         for t in range(len(db2)):
-            grads += (dw1[t], db1[t], dw2[t], db2[t:t + 1])
+            grads += (functools.partial(dw1_of, t), db1[t], dw2[t], db2[t:t + 1])
         return [pg if r else None for pg, r in zip(grads, (x_req, *reqs))]
 
     return _make(data, "task_heads", (x, *leaves), backward_fn, inputs)

@@ -305,8 +305,7 @@ def cmd_train(args):
 
     report = met.aggregate(runs, metrics={s.name: s.metric for s in specs})
     report.to_csv(out_dir / "val_report.csv")
-    print(f"parameter_count,{n_params}")
-    print(report.to_text())
+    tables.echo(f"parameter_count,{n_params}\n{report.to_text()}")
     return 0
 
 
@@ -330,7 +329,7 @@ def cmd_ablate(args):
     out_path = out_dir / "ablation.csv"
     tables.write_csv(out_path, ["task", *VARIANTS],
                      ([s.name, *(per_variant[v][s.name] for v in VARIANTS)] for s in specs))
-    print(tables.read_text(out_path).strip())
+    tables.echo(tables.read_text(out_path).strip())
     return 0
 
 
@@ -468,17 +467,19 @@ def cmd_bench(args):
     avg_edges = float(np.mean(2 * np.diff(pack.codes.bond_off)))
     flop_ratio = bench_flop_ratio(cfg, len(specs), t_single, avg_atoms, avg_edges)
 
-    print(f"n_molecules,{len(mols)}")
-    print(f"t_single,{t_single}")
-    print(f"reps,{reps}")
-    print(f"multi_min_s,{multi.min():.4f}")
-    print(f"multi_median_s,{np.median(multi):.4f}")
-    print(f"single_min_s,{single.min():.4f}")
-    print(f"single_median_s,{np.median(single):.4f}")
-    print(f"speedup,{speedup:.3f}")
-    print(f"speedup_min,{single.min() / multi.min():.3f}")
-    print(f"flop_ratio,{flop_ratio:.3f}")
-    print(f"parameter_count,{enc.count_parameters(cfg, len(specs))}")
+    tables.echo("\n".join([
+        f"n_molecules,{len(mols)}",
+        f"t_single,{t_single}",
+        f"reps,{reps}",
+        f"multi_min_s,{multi.min():.4f}",
+        f"multi_median_s,{np.median(multi):.4f}",
+        f"single_min_s,{single.min():.4f}",
+        f"single_median_s,{np.median(single):.4f}",
+        f"speedup,{speedup:.3f}",
+        f"speedup_min,{single.min() / multi.min():.3f}",
+        f"flop_ratio,{flop_ratio:.3f}",
+        f"parameter_count,{enc.count_parameters(cfg, len(specs))}",
+    ]))
     return 0
 
 
@@ -540,8 +541,8 @@ def cmd_analyze(args):
             print("warning: correlation omitted: pearson_log_scale_beta: no labeled rows "
                   f"for task(s) {', '.join(unlabeled)}", file=sys.stderr)
         else:
-            print(f"pearson_log_scale_beta,{met.pearson(np.log(scales), betas):.6f}")
-        print(f"pearson_scale_beta,{r_raw:.6f}")
+            tables.echo(f"pearson_log_scale_beta,{met.pearson(np.log(scales), betas):.6f}")
+        tables.echo(f"pearson_scale_beta,{r_raw:.6f}")
     except met.ConstantInput as err:
         print(f"warning: correlation omitted: {err}", file=sys.stderr)
 
@@ -553,8 +554,8 @@ def cmd_analyze(args):
         res = met.pca(fps, k=2)
         tables.write_csv(out_dir / "pca.csv", ["row_id", "pc1", "pc2"],
                          ([i, *row] for i, row in enumerate(res.projected)))
-        print(f"explained_variance,{res.explained_variance[0]:.6g},"
-              f"{res.explained_variance[1]:.6g}")
+        tables.echo(f"explained_variance,{res.explained_variance[0]:.6g},"
+                    f"{res.explained_variance[1]:.6g}")
     return 0
 
 

@@ -5,7 +5,9 @@ each refusal. ``number`` is the one rule for a numeric cell: the number
 ``float`` (or ``int``) parses from the text, refused unless it is finite.
 ``write_csv`` is the one writer, in the one dialect of ``writer``: it
 writes a float cell as ``repr(float(x))``, the shortest text that reads back
-as the same float, and None as an empty cell.
+as the same float, and None as an empty cell. ``stdout`` is the one way to
+standard output, in UTF-8 like every file, whatever the locale; ``echo``
+prints a line through it.
 """
 
 import codecs
@@ -89,13 +91,38 @@ def writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+@contextlib.contextmanager
+def stdout():
+    """A text stream onto standard output that encodes UTF-8, whatever the
+    locale's encoding; a stream with no byte buffer under it (a StringIO in
+    ``sys.stdout``) takes the text as it is."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        yield out
+        return
+    out.flush()  # what was printed before comes first
+    fh = io.TextIOWrapper(buffer, encoding="utf-8", newline="", write_through=True)
+    try:
+        yield fh
+    finally:
+        fh.flush()
+        fh.detach()  # standard output stays open
+
+
+def echo(text):
+    """Print the line ``text`` to standard output in UTF-8."""
+    with stdout() as fh:
+        print(text, file=fh)
+
+
 def write_csv(path, header, rows):
     """Write ``header`` and then ``rows`` to the file ``path`` in UTF-8, as
-    ``read_text`` reads it, or to stdout when ``path`` is None. A float cell
-    (numpy's float64 is one) is written as ``repr(float(x))``; the csv
-    module writes None as an empty cell and any other cell as its ``str``."""
-    sink = (contextlib.nullcontext(sys.stdout) if path is None
-            else open(path, "w", encoding="utf-8", newline=""))
+    ``read_text`` reads it, or to standard output when ``path`` is None. A
+    float cell (numpy's float64 is one) is written as ``repr(float(x))``;
+    the csv module writes None as an empty cell and any other cell as its
+    ``str``."""
+    sink = stdout() if path is None else open(path, "w", encoding="utf-8", newline="")
     with sink as fh:
         out = writer(fh)
         out.writerow(header)

@@ -19,8 +19,8 @@ matmul, add, relu, matmul and add, joined by concat.
 numpy; ``auroc_loop`` and ``auprc_loop`` walk them one score at a time.
 
 ``Tensor.backward`` frees the tape as it walks it; ``backward_keep_tape``
-walks it in the same order and keeps every node's closure, parents and
-gradient.
+walks it in the same order, calls the deferred terms after it as backward
+does, and keeps every node's closure, parents and gradient.
 
 ``smiles.parse_smiles`` reads a bracket atom with one regex and marks ring
 bonds on a spanning forest; ``parse_bracket_loop`` reads the bracket one
@@ -195,15 +195,22 @@ def heads_composed(x, heads):
 
 
 def backward_keep_tape(root):
-    """``Tensor.backward`` of a scalar root, freeing nothing."""
+    """``Tensor.backward`` of a scalar root, freeing nothing: deferred terms
+    are called after the last node, in the order they were met."""
     order = ad._toposort(root)
     root.grad = np.ones_like(root.data)
+    deferred = []
     for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-            if g is not None:
+            if callable(g):
+                deferred.append((parent, g))
+            elif g is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
+    for leaf, term in deferred:
+        g = term()
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def auroc_loop(scores, labels):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mtlmolnet import autodiff as ad
 from mtlmolnet.autodiff import (
     Adam,
+    DeferredNonLeaf,
     DomainError,
     NonFiniteValue,
     NotScalar,
@@ -401,6 +402,73 @@ class TestReleasedTape:
         finally:
             tracemalloc.stop()
         assert peak < tape + 4 * x.data.nbytes, (tape, peak)
+
+
+def logged(name, parents, terms, log):
+    """A node over ``parents`` whose backward appends ``name`` to ``log``
+    and returns ``terms``, one per parent: an array, a deferred term or
+    None."""
+    data = np.array([sum(float(p.data.sum()) for p in parents)])
+
+    def backward_fn(g):
+        log.append(name)
+        return terms
+
+    return ad._make(data, name, tuple(parents), backward_fn)
+
+
+def deferred(name, value, log):
+    """A deferred term that appends ``name`` to ``log`` and returns ``value``."""
+    def term():
+        log.append(name)
+        return value
+    return term
+
+
+class TestDeferredTerms:
+    def test_runs_after_every_closure(self):
+        log, one = [], np.ones(1)
+        x, w = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        h1 = logged("h1", [x], [one], log)
+        h2 = logged("h2", [h1, w], [one, deferred("w", np.array([3.0]), log)], log)
+        logged("root", [h2], [one], log).backward()
+        assert log == ["root", "h2", "h1", "w"]
+        assert x.grad.tolist() == [1.0] and w.grad.tolist() == [3.0]
+
+    def test_run_in_the_order_met(self):
+        log, one = [], np.ones(1)
+        w1, w2, w3 = (Tensor([0.0], requires_grad=True) for _ in range(3))
+        a = logged("a", [w1], [deferred("w1", one, log)], log)
+        b = logged("b", [a, w2, w3],
+                   [one, deferred("w2", one, log), deferred("w3", one, log)], log)
+        logged("root", [b], [one], log).backward()
+        assert log == ["root", "b", "a", "w2", "w3", "w1"]
+
+    def test_added_after_the_leafs_other_terms(self):
+        # (1e16 + 1) - 1e16 is 0.0, while (1e16 - 1e16) + 1 is 1.0: the
+        # deferred term, met first, is added last
+        log = []
+        w = Tensor([0.0], requires_grad=True)
+        late = logged("late", [w], [np.array([1.0])], log)
+        mid = logged("mid", [late, w], [np.ones(1), np.array([1e16])], log)
+        top = logged("top", [mid, w], [np.ones(1), deferred("w", np.array([-1e16]), log)],
+                     log)
+        logged("root", [top], [np.ones(1)], log).backward()
+        assert log == ["root", "top", "mid", "late", "w"]
+        assert w.grad.tolist() == [0.0]
+
+    def test_a_lone_term_is_the_leafs_grad(self):
+        value, w = np.array([4.0]), Tensor([0.0], requires_grad=True)
+        logged("root", [w], [deferred("w", value, [])], []).backward()
+        assert w.grad is value
+
+    def test_refused_for_a_parent_with_a_backward(self):
+        log, x = [], Tensor([1.0], requires_grad=True)
+        h = logged("h", [x], [np.ones(1)], log)
+        root = logged("root", [h], [deferred("h", np.ones(1), log)], log)
+        with pytest.raises(DeferredNonLeaf, match="only reach a leaf"):
+            root.backward()
+        assert "h" not in log and x.grad is None
 
 
 @settings(max_examples=30, deadline=None)

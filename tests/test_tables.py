@@ -133,6 +133,29 @@ class TestWriteCsv:
         tables.write_csv(None, ["a"], ([v] for v in (1.5, "b")))
         assert capsys.readouterr().out == "a\n1.5\nb\n"
 
+    def test_stdout_keeps_the_order_of_earlier_prints(self, capfd):
+        print("first")
+        tables.echo("\u00b5 second")
+        print("third")
+        assert capfd.readouterr().out == "first\n\u00b5 second\nthird\n"
+
+    def test_stdout_without_a_byte_buffer_takes_text(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            tables.echo("a\u00b1b")
+        assert out.getvalue() == "a\u00b1b\n"
+
+
+def test_only_the_tables_module_writes_to_stdout():
+    # one encoding: every other print names a stream, and only tables names stdout
+    package = Path(tables.__file__).resolve().parent
+    writers = sorted({module.name for module in package.glob("*.py")
+                      for node in ast.walk(ast.parse(module.read_text()))
+                      if (isinstance(node, ast.Attribute) and node.attr == "stdout")
+                      or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "print"
+                          and not any(k.arg == "file" for k in node.keywords))})
+    assert writers == ["tables.py"]
+
 
 def test_only_the_tables_module_writes_csv_rows():
     # one writer: no module writes a row of its own, with its own float format
@@ -179,30 +202,73 @@ def test_feature_file_errors_are_dataset_errors():
         assert issubclass(err, tables.DatasetError)
 
 
-def test_non_ascii_task_name_round_trips_under_an_ascii_locale(tmp_path):
-    # files are written in UTF-8, as they are read, whatever the locale says
-    data, tasks, mols = tmp_path / "data.csv", tmp_path / "tasks.json", tmp_path / "mols.smi"
-    names = synth.write_multitask_csv(data, [24, 16], seed=3, test_every=4)
-    data.write_text(data.read_text().replace(names[0], "\u00b5-task"), encoding="utf-8")
-    synth.write_tasks_file(tasks, ["\u00b5-task", names[1]])
-    mols.write_text("CCO\nc1ccccc1O\n")
+@pytest.fixture(scope="module")
+def micro_task(tmp_path_factory):
+    """A dataset whose first task is named 'µ-task', its task file, qc
+    file and SMILES list, and a multi-rdkit checkpoint trained on them."""
+    d = tmp_path_factory.mktemp("micro")
+    names = synth.write_multitask_csv(d / "data.csv", [24, 16], seed=3, test_every=4)
+    text = (d / "data.csv").read_text().replace(names[0], "\u00b5-task")
+    (d / "data.csv").write_text(text, encoding="utf-8")
+    synth.write_tasks_file(d / "tasks.json", ["\u00b5-task", names[1]])
+    synth.write_qc_csv(d / "qc.csv", [row.split(",")[0] for row in text.splitlines()[1:]],
+                       seed=4)
+    (d / "mols.smi").write_text("CCO\nc1ccccc1O\n")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["train", "--data", str(data), "--tasks", str(tasks),
-                         "--variant", "multi-rdkit", "--epochs", "1", "--hidden", "4",
-                         "--ffn-hidden", "4", "--depth", "2", "--out", str(tmp_path)]) == 0
+        assert cli.main(["train", "--data", str(d / "data.csv"), "--tasks",
+                         str(d / "tasks.json"), "--variant", "multi-rdkit", "--epochs", "1",
+                         "--hidden", "4", "--ffn-hidden", "4", "--depth", "2",
+                         "--out", str(d / "runs")]) == 0
+    return d
+
+
+def ascii_locale_env():
+    """The environment with a C locale, UTF-8 mode off and the package on
+    ``PYTHONPATH``: Python then writes text in ASCII by default."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]),
+        "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def test_non_ascii_task_name_round_trips_under_an_ascii_locale(micro_task):
+    # files are written in UTF-8, as they are read, whatever the locale says
     script = ("import sys\n"
               "from mtlmolnet import cli, tables\n"
               "ckpt, mols, out = sys.argv[1:]\n"
               "rc = cli.main(['predict', '--checkpoint', ckpt, '--data', mols, '--out', out])\n"
               "print(rc, ascii(tables.read_csv(out)[0]))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]),
-        "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "model_seed0.ckpt"),
-                           str(mols), str(tmp_path / "out.csv")],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(micro_task / "runs" / "model_seed0.ckpt"),
+                           str(micro_task / "mols.smi"), str(micro_task / "out.csv")],
+                          capture_output=True, text=True, env=ascii_locale_env())
     assert proc.stdout == "0 ['smiles', '\\xb5-task', 'task1']\n", proc.stderr
+
+
+SMALL = "--epochs 1 --seeds 0 --hidden 4 --ffn-hidden 4 --depth 2"
+
+# per command: its arguments, and text its standard output must hold
+STDOUT_CASES = {
+    "train": (f"train --data {{d}}/data.csv --tasks {{d}}/tasks.json --variant multi-rdkit "
+              f"{SMALL} --out {{d}}/train", "\n\u00b5-task  AUROC   nan\u00b1nan\n"),
+    "ablate": (f"ablate --data {{d}}/data.csv --tasks {{d}}/tasks.json --qc {{d}}/qc.csv "
+               f"{SMALL} --out {{d}}/ablate", "\n\u00b5-task,nan\u00b1nan,"),
+    "predict": ("predict --checkpoint {d}/runs/model_seed0.ckpt --data {d}/mols.smi",
+                "smiles,\u00b5-task,task1\n"),
+    "eval": ("eval --checkpoint {d}/runs/model_seed0.ckpt --data {d}/data.csv",
+             "\n\u00b5-task,AUROC,"),
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_CASES)
+def test_stdout_is_utf8_under_an_ascii_locale(micro_task, command):
+    # standard output is written in UTF-8, as every file is, whatever the locale says
+    args, text = STDOUT_CASES[command]
+    proc = subprocess.run([sys.executable, "-m", "mtlmolnet.cli",
+                           *args.format(d=micro_task).split()],
+                          capture_output=True, env=ascii_locale_env())
+    assert proc.returncode == 0, proc.stderr.decode("ascii", "backslashreplace")
+    assert text in proc.stdout.decode("utf-8")
 
 
 @pytest.fixture(scope="module")
