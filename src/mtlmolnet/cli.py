@@ -266,19 +266,16 @@ def _load_table(cfg, paths, specs=None):
 
 
 def _train_one(table, specs, cfg, seed, out_dir):
-    run_cfg = TrainConfig(**{**cfg.to_dict(), "seed": seed})
+    run_cfg = dataclasses.replace(cfg, seed=seed)
     result = mdl.train(table, run_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / f"model_seed{seed}.ckpt"
     save_checkpoint(ckpt, result.params, run_cfg, result.stats, specs)
     write_history(out_dir / f"history_seed{seed}.csv", result.history)
-    if result.history:  # the best epoch's scores are those of the restored parameters
-        val_scores = {row["task"]: row["val_metric"] for row in result.history
-                      if row["epoch"] == result.best_epoch}
-    else:  # no epoch ran, so the untrained model was never scored
-        features = feat.feature_matrix(table.blocks, use_qc=run_cfg.use_qc, stats=result.stats)
-        val_scores = mdl.evaluate_split(table, result.params, "val", features)
-    return result, val_scores
+    if all(v is None for v in result.val_scores.values()):
+        print(f"warning: seed {seed}: no task has a defined validation metric; "
+              "keeping the final parameters", file=sys.stderr)
+    return result
 
 
 def cmd_train(args):
@@ -288,8 +285,8 @@ def cmd_train(args):
 
     runs = []
     for seed in seeds:
-        result, val_scores = _train_one(table, specs, cfg, seed, out_dir)
-        runs.append(val_scores)
+        result = _train_one(table, specs, cfg, seed, out_dir)
+        runs.append(result.val_scores)
         print(f"seed {seed}: best epoch {result.best_epoch}", file=sys.stderr)
 
     n_params = enc.count_parameters(cfg, len(specs))
@@ -312,16 +309,13 @@ def cmd_train(args):
 def cmd_ablate(args):
     cfg, seeds, paths = merge_config(args)
     # one table for all four variants, loaded as qw-mtl reads it: with --qc
-    table, specs = _load_table(TrainConfig(**{**cfg.to_dict(), "variant": "qw-mtl"}),
-                               paths)
+    table, specs = _load_table(dataclasses.replace(cfg, variant="qw-mtl"), paths)
     out_dir = _out_dir(paths["out"])
     per_variant = {}
     for variant in VARIANTS:
-        vcfg = TrainConfig(**{**cfg.to_dict(), "variant": variant})
-        runs = []
-        for seed in seeds:
-            _, val_scores = _train_one(table, specs, vcfg, seed, out_dir / variant)
-            runs.append(val_scores)
+        vcfg = dataclasses.replace(cfg, variant=variant)
+        runs = [_train_one(table, specs, vcfg, seed, out_dir / variant).val_scores
+                for seed in seeds]
         report = met.aggregate(runs, metrics={s.name: s.metric for s in specs})
         per_variant[variant] = {t: f"{m:.3f}±{sd:.3f}" for t, _, m, sd in report.rows}
         print(f"variant {variant}: done ({len(seeds)} seed(s))", file=sys.stderr)
@@ -395,7 +389,7 @@ def cmd_eval(args):
     if len(view) == 0 or not view.valid.any():
         raise NoTestData("dataset has no test-tagged labels")
     features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
-    scores = mdl.evaluate_split(table, params, "test", features)
+    scores = mdl.evaluate_split(view, params, features)
 
     rows = []
     for spec in specs:

@@ -15,6 +15,8 @@ slope of beta_t, is never positive, so gradient descent can only raise each
 beta_t until beta_max stops it.
 
 With uniform weighting, w_t is 1 for every task present in the batch.
+Training keeps the first epoch with the highest mean validation metric over
+the tasks whose metric is defined, and the last epoch when no task has one.
 A model's parameters are views into one ``ParamStore`` vector, so the best
 epoch's snapshot is one copy of it, and the heads run as one autodiff node
 over stacked views of their stretch of it (``TaskHeads``). Training's
@@ -256,20 +258,30 @@ def batch_loss(batch, params, cfg):
 
 @dataclass
 class TrainResult:
+    """A trained model and its record. ``params`` are the kept epoch's: the
+    first with the highest mean validation metric over the tasks whose metric
+    is defined, else the last. ``best_epoch`` names it (-1, the initial
+    model, when no epoch ran) and ``val_scores`` are its per-task validation
+    scores, None where undefined."""
+
     params: ModelParams
     history: list  # dicts: epoch, task, loss, r, beta_eff, w, val_metric
     best_epoch: int
     stats: feat.FeatureStats
+    val_scores: dict
 
 
 def train(table, cfg, progress=None):
-    """Train on the table's train split, selecting by mean validation metric.
+    """Train on the table's train split and keep the epoch that scores best
+    on its val split: the first with the highest mean metric over the tasks
+    whose metric is defined, and the last epoch when no task has one.
 
     The table must be loaded; features are prepared (built-in descriptors)
     if missing. The table's descriptor record stays raw: it is standardized
-    once into a matrix whose rows batches and validation take. Returns the
-    best parameters, per-epoch history rows and the training-split feature
-    statistics needed to standardize new inputs.
+    once into a matrix whose rows batches and validation take. With no
+    epochs, the initial model is scored once. Returns a ``TrainResult``
+    with the training-split feature statistics needed to standardize new
+    inputs.
     """
     if table.pack is None or table.blocks is None:
         data_mod.prepare_table(table)
@@ -288,9 +300,8 @@ def train(table, cfg, progress=None):
     optimizer = ad.Adam(params.store, lr=cfg.lr)
 
     history = []
-    best_epoch = 0
-    best_metric = -np.inf
-    best_snapshot = params.clone_data()
+    best_epoch, best_metric, best_snapshot = cfg.epochs - 1, -np.inf, None
+    best_scores = evaluate_split(val_view, params, features) if cfg.epochs == 0 else None
 
     n_tasks = table.n_tasks
     for epoch in range(cfg.epochs):
@@ -312,16 +323,16 @@ def train(table, cfg, progress=None):
                 r_sums += parts["r"]
                 w_sums += parts["w"]
                 n_batches += 1
+            val_scores = evaluate_split(val_view, params, features)
         except ad.NonFiniteValue as err:
             raise NonFiniteLoss(f"epoch {epoch}: {err}") from err
 
-        val_scores = evaluate_split(table, params, "val", features) if len(val_view) else {}
-        usable = [v for v in val_scores.values() if v is not None]
-        mean_metric = float(np.mean(usable)) if usable else 0.0
-        if mean_metric > best_metric:
-            best_metric = mean_metric
-            best_epoch = epoch
+        defined = [v for v in val_scores.values() if v is not None]
+        if defined and np.mean(defined) > best_metric:
+            best_epoch, best_metric, best_scores = epoch, np.mean(defined), val_scores
             best_snapshot = params.clone_data()
+        elif best_snapshot is None:  # no defined mean yet: the last epoch is kept
+            best_scores = val_scores
 
         beta_eff = params.weighting.beta_eff
         for t, spec in enumerate(table.specs):
@@ -333,14 +344,15 @@ def train(table, cfg, progress=None):
                 "r": r_sums[t] / max(n_batches, 1),
                 "beta_eff": beta_eff[t],
                 "w": w_sums[t] / max(n_batches, 1),
-                "val_metric": val_scores.get(spec.name),
+                "val_metric": val_scores[spec.name],
             })
         if progress is not None:
             progress(epoch, history[-n_tasks:])
 
-    params.load_data(best_snapshot)
+    if best_snapshot is not None:
+        params.load_data(best_snapshot)
     return TrainResult(params=params, history=history, best_epoch=best_epoch,
-                       stats=stats)
+                       stats=stats, val_scores=best_scores)
 
 
 def predict_blocks(graphs, blocks, params, cfg):
@@ -374,10 +386,12 @@ def embed_rows(pack, rows, encoder):
                            for graphs, union, _ in _chunks(pack, rows)])
 
 
-def evaluate_split(table, params, split, features):
-    """Per-task metric on a split, scored on its rows of the table's
-    standardized descriptor matrix ``features``; None where undefined."""
-    view = data_mod.select_split(table, split)
+def evaluate_split(view, params, features):
+    """Per-task metric on the rows of a ``data.SplitView``, scored on its
+    rows of the table's standardized descriptor matrix ``features``; None
+    where undefined. ``train`` keeps the first epoch with the highest mean
+    of the defined metrics on val, and the last epoch when none is defined."""
+    table = view.table
     if len(view) == 0:
         return {spec.name: None for spec in table.specs}
     probs = predict_rows(table.pack, view.rows, features[view.rows], params)

@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import synth
 
 from mtlmolnet import cli, tables
+from mtlmolnet import data as dat
 from mtlmolnet import features as feat
 from mtlmolnet import metrics as met
 from mtlmolnet import model as mdl
@@ -118,9 +119,9 @@ class TestTrainCommand:
         splits = []
         evaluate = mdl.evaluate_split
 
-        def counted(table, params, split, features):
-            splits.append(split)
-            return evaluate(table, params, split, features)
+        def counted(view, params, features):
+            splits.append(view.split)
+            return evaluate(view, params, features)
 
         monkeypatch.setattr(mdl, "evaluate_split", counted)
         flags = small_flags(tmp_path, epochs=epochs)
@@ -131,12 +132,47 @@ class TestTrainCommand:
         table, _ = cli._load_table(cfg, {key: flags[flags.index(f"--{key}") + 1]
                                          for key in ("data", "tasks", "qc")})
         features = feat.feature_matrix(table.blocks, use_qc=cfg.use_qc, stats=stats)
-        report = met.aggregate([evaluate(table, params, "val", features)],
+        report = met.aggregate([evaluate(dat.select_split(table, "val"), params, features)],
                                metrics={s.name: s.metric for s in specs})
         report.to_csv(tmp_path / "expected.csv")
         assert ((tmp_path / "runs" / "val_report.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
         assert capsys.readouterr().out.endswith(report.to_text() + "\n")
+
+    def test_zero_epochs_builds_one_descriptor_matrix_per_seed(self, tmp_path, monkeypatch):
+        # the initial model is scored on the matrix training built
+        calls = []
+        build = feat.feature_matrix
+
+        def feature_matrix(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(feat, "feature_matrix", feature_matrix)
+        assert cli.main(["train", *small_flags(tmp_path, epochs="0", seeds="0,1")]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("command, runs", [("train", 1), ("ablate", 4)])
+    @pytest.mark.parametrize("edit", ["val_as_train", "single_class_val"])
+    def test_undefined_validation_warns_once_per_seed(self, tmp_path, capsys, edit, command,
+                                                      runs):
+        flags = small_flags(tmp_path, epochs="1", seeds="0,1")
+        data = Path(flags[flags.index("--data") + 1])
+        header, *rows = data.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        for row in cells:
+            for col in (2, 4):
+                if row[col] == "val":
+                    if edit == "val_as_train":
+                        row[col] = "train"
+                    else:
+                        row[col - 1] = "0"
+        data.write_text("\n".join([header, *(",".join(row) for row in cells)]) + "\n")
+        assert cli.main([command, *flags]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == runs * [f"warning: seed {seed}: no task has a defined validation "
+                                   "metric; keeping the final parameters" for seed in (0, 1)]
 
     @pytest.mark.parametrize("text", [
         "{bad", "[1, 2]", '["a"]', '[{"name": 5, "metric": "AUROC"}]',
@@ -258,11 +294,15 @@ class TestConfigValues:
         assert not (tmp_path / "runs" / "model_seed0.ckpt").exists()
 
     def test_diverging_run_exits_4(self, tmp_path, capsys):
-        rc = cli.main(["train", *small_flags(tmp_path), "--lr", "1e300"])
-        assert rc == cli.EXIT_NUMERIC
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert re.match(r"error: epoch 0: \w+ produced \d+ non-finite value\(s\)", err[0])
+        # at batch size 500 the blow-up first shows in validation
+        for batch_size in ("16", "500"):
+            rc = cli.main(["train", *small_flags(tmp_path), "--lr", "1e300",
+                           "--batch-size", batch_size])
+            assert rc == cli.EXIT_NUMERIC
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert re.match(r"error: epoch 0: \w+ produced \d+ non-finite value\(s\)",
+                            err[0])
 
     def test_diverging_run_prints_only_the_error(self, tmp_path):
         # numpy's overflow warnings reach a real stderr, which capsys
@@ -374,6 +414,22 @@ class TestPredictEval:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_eval_selects_the_test_split_once(self, trained, monkeypatch):
+        run_dir, flags = trained
+        splits = []
+        select = dat.select_split
+
+        def select_split(table, split):
+            splits.append(split)
+            return select(table, split)
+
+        monkeypatch.setattr(dat, "select_split", select_split)
+        assert cli.main(["eval", "--checkpoint", str(run_dir / "runs" / "model_seed0.ckpt"),
+                         "--data", flags[flags.index("--data") + 1],
+                         "--qc", flags[flags.index("--qc") + 1],
+                         "--out", str(run_dir / "eval.csv")]) == 0
+        assert splits == ["test"]
 
     def test_eval_schema_and_range(self, trained, tmp_path, capsys):
         run_dir, flags = trained

@@ -391,6 +391,59 @@ class TestTrain:
                                      fresh.named_tensors()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_selects_train_and_val_once(self, tmp_path, monkeypatch, epochs):
+        splits = []
+        select = dat.select_split
+
+        def select_split(table, split):
+            splits.append(split)
+            return select(table, split)
+
+        monkeypatch.setattr(dat, "select_split", select_split)
+        train(toy_table(tmp_path), small_cfg(epochs=epochs))
+        assert splits == ["train", "val"]
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_val_scores_are_the_kept_models(self, tmp_path, epochs):
+        table = dat.prepare_table(toy_table(tmp_path))
+        result = train(table, small_cfg(epochs=epochs))
+        features = feature_matrix(table.blocks, use_qc=True, stats=result.stats)
+        rescored = mdl.evaluate_split(dat.select_split(table, "val"), result.params, features)
+        assert result.val_scores == rescored
+        assert all(v is not None for v in rescored.values())
+        if epochs:
+            assert result.val_scores == {row["task"]: row["val_metric"]
+                                         for row in result.history
+                                         if row["epoch"] == result.best_epoch}
+        else:  # no epoch ran: the initial model is kept and scored
+            assert (result.best_epoch, result.history) == (-1, [])
+
+    @pytest.mark.parametrize("edit", ["val_as_train", "single_class_val"])
+    def test_undefined_validation_keeps_the_last_epoch(self, tmp_path, monkeypatch, edit):
+        # with no defined validation metric there is nothing to select by:
+        # the parameters of the last step are returned
+        table = toy_table(tmp_path)
+        val = table.splits == dat.SPLIT_CODES["val"]
+        if edit == "val_as_train":
+            table.splits[val] = dat.SPLIT_CODES["train"]
+        else:
+            table.labels[val & (table.labels >= 0)] = 0
+        stepped = []
+        step = ad.Adam.step
+
+        def adam_step(self):
+            step(self)
+            stepped.append(self.flat.copy())
+
+        monkeypatch.setattr(ad.Adam, "step", adam_step)
+        cfg = small_cfg(epochs=4)
+        result = train(table, cfg)
+        assert result.best_epoch == cfg.epochs - 1
+        assert result.val_scores == {"A": None, "B": None}
+        np.testing.assert_array_equal(result.params.store.flat.view(np.int64),
+                                      stepped[-1].view(np.int64))
+
     def test_same_seed_identical_history(self, tmp_path):
         table1 = toy_table(tmp_path)
         table2 = toy_table(tmp_path)
